@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads for sweep points (results are identical for any count)",
+            help="accepted for compatibility (>= 1); sweep points run in order "
+            "and the value does not change the output",
         )
         if name == "optimize":
             cmd.add_argument(
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
         elif args.command == "optimize":
             written = run_optimize(spec, out, mode=args.mode)
         else:
-            written = run_sweep(spec, out, threads=args.threads)
+            written = run_sweep(spec, out)
         for path in written:
             print(path)
         return 0

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -646,20 +645,11 @@ def _sweep_point(spec: ExperimentSpec, axis: str, value: float):
     return user_rows, summary_rows
 
 
-def run_sweep(spec: ExperimentSpec, out: str, threads: int = 1) -> list[str]:
-    """Evaluate every allocator over the sweep axis; points are
-    dispatched to a worker pool and written back in axis order."""
+def run_sweep(spec: ExperimentSpec, out: str) -> list[str]:
+    """Evaluate every allocator at each sweep point, in axis order."""
     if spec.sweep_axis is None:
         raise ValueError("the spec has no sweep section")
-    axis = spec.sweep_axis
-    values = spec.sweep_values
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda v: _sweep_point(spec, axis, v), values))
-    else:
-        results = [_sweep_point(spec, axis, v) for v in values]
-
+    results = [_sweep_point(spec, spec.sweep_axis, v) for v in spec.sweep_values]
     user_rows = [row for users, _ in results for row in users]
     summary_rows = [row for _, summaries in results for row in summaries]
     return [

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,60 @@ class SystemConfig:
     def beta(self, m: int) -> np.ndarray:
         return self.clusters[m].betas
 
+    # Flat per-user layout: users in cluster order, strongest first within
+    # a cluster; the downlink vector puts each cluster's AN slot before
+    # its users (see DownlinkPower.flat).
+
+    @cached_property
+    def cluster_of(self) -> np.ndarray:
+        """Cluster index of each user."""
+        return _readonly(np.repeat(np.arange(self.n_clusters), self.users_per_cluster), int)
+
+    @cached_property
+    def user_offsets(self) -> np.ndarray:
+        """Flat index of each cluster's first user."""
+        return _readonly(np.cumsum(self.users_per_cluster) - self.users_per_cluster, int)
+
+    @cached_property
+    def slot_offsets(self) -> np.ndarray:
+        """Downlink-vector index of each cluster's AN slot."""
+        return _readonly(self.user_offsets + np.arange(self.n_clusters), int)
+
+    @cached_property
+    def user_slots(self) -> np.ndarray:
+        """Downlink-vector index of each user's power."""
+        return _readonly(np.arange(self.total_users) + self.cluster_of + 1, int)
+
+    @cached_property
+    def flat_betas(self) -> np.ndarray:
+        """Large-scale gain of each user."""
+        return _readonly(np.concatenate([c.betas for c in self.clusters]))
+
+    def split_users(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Cut a flat per-user vector into per-cluster rows."""
+        return tuple(np.split(flat, self.user_offsets[1:]))
+
+    def cluster_totals(self, flat: np.ndarray) -> np.ndarray:
+        """For each user, the sum of a flat per-user vector over its own
+        cluster."""
+        return np.add.reduceat(flat, self.user_offsets)[self.cluster_of]
+
+    def stronger_sums(self, flat: np.ndarray) -> np.ndarray:
+        """For each user, the sum of a flat per-user vector over the
+        stronger users of its own cluster (zero for the strongest): a
+        cumsum minus its value at the cluster start."""
+        run = np.concatenate(([0.0], np.cumsum(flat)))
+        return run[:-1] - run[self.user_offsets][self.cluster_of]
+
+    def user_powers(self, q_flat: np.ndarray):
+        """Per-user views of a flat downlink vector: (own power, own
+        cluster's AN power, power of the stronger users of the own
+        cluster, total power of every other cluster with its AN)."""
+        own = q_flat[self.user_slots]
+        an = q_flat[self.slot_offsets][self.cluster_of]
+        others = q_flat.sum() - np.add.reduceat(q_flat, self.slot_offsets)
+        return own, an, self.stronger_sums(own), others[self.cluster_of]
+
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every structural invariant; return cfg unchanged if all hold.
@@ -182,13 +237,9 @@ class UplinkPower(_RaggedPower):
     @classmethod
     def from_flat(cls, cfg: SystemConfig, flat) -> "UplinkPower":
         flat = np.asarray(flat, dtype=float)
-        rows, pos = [], 0
-        for k in cfg.users_per_cluster:
-            rows.append(flat[pos : pos + k])
-            pos += k
-        if pos != flat.size:
+        if flat.size != cfg.total_users:
             raise ValueError("flat vector has wrong length %d" % flat.size)
-        return cls(tuple(rows))
+        return cls(cfg.split_users(flat))
 
     def check_budget(self, p_max) -> None:
         caps = UplinkPower.full_like(self, p_max)
@@ -229,13 +280,9 @@ class DownlinkPower(_RaggedPower):
     @classmethod
     def from_flat(cls, cfg: SystemConfig, flat) -> "DownlinkPower":
         flat = np.asarray(flat, dtype=float)
-        rows, pos = [], 0
-        for k in cfg.users_per_cluster:
-            rows.append(flat[pos : pos + k + 1])
-            pos += k + 1
-        if pos != flat.size:
+        if flat.size != cfg.total_users + cfg.n_clusters:
             raise ValueError("flat vector has wrong length %d" % flat.size)
-        return cls(tuple(rows))
+        return cls(tuple(np.split(flat, cfg.slot_offsets[1:])))
 
     def an(self, m: int) -> float:
         return float(self.q[m][0])
@@ -277,9 +324,6 @@ def compute_rho(cfg: SystemConfig, p: UplinkPower) -> EstimationQuality:
     rho_{m,k} = P_{m,k} beta_{m,k} tau / (1 + sum_i P_{m,i} beta_{m,i} tau),
     so within a cluster the rho values sum to strictly less than one.
     """
-    tau = cfg.pilot_len
-    rows = []
-    for m in range(cfg.n_clusters):
-        energy = p.p[m] * cfg.beta(m) * tau
-        rows.append(energy / (1.0 + energy.sum()))
-    return EstimationQuality(tuple(rows))
+    energy = p.flat() * cfg.flat_betas * cfg.pilot_len
+    rho = energy / (1.0 + cfg.cluster_totals(energy))
+    return EstimationQuality(cfg.split_users(rho))

@@ -58,14 +58,11 @@ def _trial_streams(seed: int, n_trials: int) -> list[np.random.Generator]:
 class ChannelRealization:
     """One draw of every small-scale fading vector.
 
-    h[m] has shape (K_m, N_t); g is the eavesdropper vector. noise_seed
-    snapshots the generator state taken before drawing, so the exact
-    realization can be reproduced.
+    h[m] has shape (K_m, N_t); g is the eavesdropper vector.
     """
 
     h: tuple[np.ndarray, ...]
     g: np.ndarray
-    noise_seed: object | None = None
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,9 @@ class EstimateSet:
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    state = rng.bit_generator.state
     h = tuple(_cn(rng, k, cfg.n_antennas) for k in cfg.users_per_cluster)
     g = _cn(rng, cfg.n_antennas)
-    return ChannelRealization(h=h, g=g, noise_seed=state)
+    return ChannelRealization(h=h, g=g)
 
 
 def mmse_estimate(
@@ -222,14 +218,11 @@ def moment_suite(
     gain_g_z = np.empty((n_trials, m_tot))
     est_norm = np.empty((n_trials, m_tot))
 
-    cluster_of = np.concatenate(
-        [np.full(k, m, dtype=int) for m, k in enumerate(cfg.users_per_cluster)]
-    )
     for t, rng in enumerate(_trial_streams(seed, n_trials)):
         real = draw_realization(cfg, rng)
         est = build_estimates(cfg, p, real, rng)
         dots_w, dots_z, g_w, g_z = _dot_tables(cfg, real, est)
-        own_dot[t] = dots_w[np.arange(n_users), cluster_of]
+        own_dot[t] = dots_w[np.arange(n_users), cfg.cluster_of]
         cross_w[t] = np.abs(dots_w) ** 2
         cross_z[t] = np.abs(dots_z) ** 2
         gain_g_w[t] = np.abs(g_w) ** 2
@@ -415,19 +408,14 @@ def ergodic_rate_oracle(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     n_users = cfg.total_users
-    m_tot = cfg.n_clusters
     beta_e = cfg.eav_gain
-
-    cluster_of = np.concatenate(
-        [np.full(k, m, dtype=int) for m, k in enumerate(cfg.users_per_cluster)]
-    )
-    beta_u = np.concatenate([cfg.beta(m) for m in range(m_tot)])
-    q_own = np.concatenate([q.users(m) for m in range(m_tot)])
-    q_user_sum = np.array([float(q.users(m).sum()) for m in range(m_tot)])
-    q_an = np.array([q.an(m) for m in range(m_tot)])
-    stronger_q = np.concatenate(
-        [np.concatenate(([0.0], np.cumsum(q.users(m))[:-1])) for m in range(m_tot)]
-    )
+    cluster_of = cfg.cluster_of
+    beta_u = cfg.flat_betas
+    q_flat = q.flat()
+    q_own = q_flat[cfg.user_slots]
+    q_an = q_flat[cfg.slot_offsets]
+    q_user_sum = np.add.reduceat(q_own, cfg.user_offsets)
+    stronger_q = cfg.stronger_sums(q_own)
     idx = np.arange(n_users)
 
     legit_t = np.empty((n_trials, n_users))
@@ -465,24 +453,13 @@ def ergodic_rate_oracle(
         legit_se = np.full(n_users, math.nan)
         eaves_se = np.full(n_users, math.nan)
 
-    legit_rows, eaves_rows, sec_rows, lse_rows, ese_rows = [], [], [], [], []
-    pos = 0
-    for m in range(m_tot):
-        k = cfg.users_per_cluster[m]
-        lrow = legit_mean[pos : pos + k]
-        erow = eaves_mean[pos : pos + k]
-        legit_rows.append(lrow)
-        eaves_rows.append(erow)
-        sec_rows.append(np.maximum(lrow - erow, 0.0))
-        lse_rows.append(legit_se[pos : pos + k])
-        ese_rows.append(eaves_se[pos : pos + k])
-        pos += k
+    secrecy = np.maximum(legit_mean - eaves_mean, 0.0)
     report = RateReport(
-        legit=tuple(legit_rows),
-        eaves=tuple(eaves_rows),
-        secrecy=tuple(sec_rows),
-        sum_secrecy=float(sum(s.sum() for s in sec_rows)),
+        legit=cfg.split_users(legit_mean),
+        eaves=cfg.split_users(eaves_mean),
+        secrecy=cfg.split_users(secrecy),
+        sum_secrecy=float(secrecy.sum()),
     )
     return OracleReport(
-        report=report, legit_se=tuple(lse_rows), eaves_se=tuple(ese_rows)
+        report=report, legit_se=cfg.split_users(legit_se), eaves_se=cfg.split_users(eaves_se)
     )

@@ -37,7 +37,7 @@ from .model import (
     compute_rho,
 )
 from .projgrad import Box, CappedSimplex, ConcaveProblem, maximize
-from .rates import RateReport, eaves_rate, energy_efficiency, legit_rate, secrecy_report
+from .rates import RateReport, _flat_rates, energy_efficiency, secrecy_report
 
 __all__ = [
     "DcCoefficients",
@@ -90,38 +90,29 @@ class DcCoefficients:
 
 
 def _uplink_coeffs(cfg: SystemConfig, q: DownlinkPower):
+    """a1, a2, a3 of every user, flat."""
     nt = cfg.n_antennas
-    q_total = q.total()
-    a1, a2, a3 = [], [], []
-    for m in range(cfg.n_clusters):
-        beta = cfg.beta(m)
-        row = q.q[m]
-        users = row[1:]
-        prefix = np.concatenate(([0.0], np.cumsum(users)[:-1]))
-        inter = q_total - float(row.sum())
-        a1.append(users * beta * nt)
-        a2.append(beta * ((nt - 1.0) * prefix - row[0] - users))
-        a3.append(beta * (row[0] + np.cumsum(users)) + beta * inter + 1.0)
-    return tuple(a1), tuple(a2), tuple(a3)
+    beta = cfg.flat_betas
+    users, an, prefix, inter = cfg.user_powers(q.flat())
+    a1 = users * beta * nt
+    a2 = beta * ((nt - 1.0) * prefix - an - users)
+    a3 = beta * (an + prefix + users) + beta * inter + 1.0
+    return a1, a2, a3
 
 
 def _downlink_coeffs(cfg: SystemConfig, rho: EstimationQuality):
+    """b1, b2, b3 of every user, flat."""
     nt = cfg.n_antennas
-    b1, b2, b3 = [], [], []
-    for m in range(cfg.n_clusters):
-        beta = cfg.beta(m)
-        r = rho.rho[m]
-        b1.append(r * beta * nt)
-        b2.append(beta * (1.0 - r))
-        b3.append(beta * (r * nt + 1.0 - r))
-    return tuple(b1), tuple(b2), tuple(b3)
+    beta = cfg.flat_betas
+    r = np.concatenate(rho.rho)
+    return r * beta * nt, beta * (1.0 - r), beta * (r * nt + 1.0 - r)
 
 
 def dc_coefficients(
     cfg: SystemConfig, q: DownlinkPower, rho: EstimationQuality
 ) -> DcCoefficients:
-    a1, a2, a3 = _uplink_coeffs(cfg, q)
-    b1, b2, b3 = _downlink_coeffs(cfg, rho)
+    a1, a2, a3 = (cfg.split_users(a) for a in _uplink_coeffs(cfg, q))
+    b1, b2, b3 = (cfg.split_users(b) for b in _downlink_coeffs(cfg, rho))
     return DcCoefficients(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, b3=b3)
 
 
@@ -130,57 +121,43 @@ def dc_coefficients(
 # affine in the uplink powers and structurally positive for P >= 0.
 
 
+def _uplink_args(cfg: SystemConfig, coeffs, p_flat: np.ndarray):
+    """The log arguments f1, f2 of every user at the flat uplink powers,
+    with their slopes c1, c2 in the user's own power and the pilot-energy
+    normalizer (1 + tau sum beta P) of its cluster."""
+    a1, a2, a3 = coeffs
+    bt = cfg.flat_betas * cfg.pilot_len
+    norm = 1.0 + cfg.cluster_totals(bt * p_flat)
+    c1 = (a1 + a2) * bt
+    c2 = a2 * bt
+    return c1 * p_flat + a3 * norm, c2 * p_flat + a3 * norm, c1, c2
+
+
 def _uplink_parts(cfg: SystemConfig, coeffs, p_flat: np.ndarray):
     """Values and gradients of the two concave halves of the uplink sum.
 
     Returns (f1_value, f1_grad, f2_value, f2_grad) where the values are
     sums of base-2 logs and the gradients are exact (1/ln 2 included).
     """
-    a1, a2, a3 = coeffs
-    tau = cfg.pilot_len
-    f1_value = 0.0
-    f2_value = 0.0
-    grads1, grads2 = [], []
-    pos = 0
-    for m in range(cfg.n_clusters):
-        k_m = cfg.users_per_cluster[m]
-        beta = cfg.beta(m)
-        p_m = p_flat[pos : pos + k_m]
-        pos += k_m
-        s = tau * float(beta @ p_m)
-        c1 = (a1[m] + a2[m]) * beta * tau
-        c2 = a2[m] * beta * tau
-        args1 = c1 * p_m + a3[m] * (s + 1.0)
-        args2 = c2 * p_m + a3[m] * (s + 1.0)
-        if np.any(args1 <= 0.0) or np.any(args2 <= 0.0):
-            # Cannot happen for P >= 0 (both arguments are the product of
-            # two positive physical factors); guard against stray inputs.
-            raise FloatingPointError("non-positive log argument in uplink objective")
-        f1_value += float(np.log2(args1).sum())
-        f2_value += float(np.log2(args2).sum())
-        e1 = 1.0 / args1
-        e2 = 1.0 / args2
-        grads1.append((c1 * e1 + tau * beta * float(a3[m] @ e1)) / _LN2)
-        grads2.append((c2 * e2 + tau * beta * float(a3[m] @ e2)) / _LN2)
-    return f1_value, np.concatenate(grads1), f2_value, np.concatenate(grads2)
+    args1, args2, c1, c2 = _uplink_args(cfg, coeffs, p_flat)
+    if np.any(args1 <= 0.0) or np.any(args2 <= 0.0):
+        # Cannot happen for P >= 0 (both arguments are the product of
+        # two positive physical factors); guard against stray inputs.
+        raise FloatingPointError("non-positive log argument in uplink objective")
+    a3 = coeffs[2]
+    bt = cfg.flat_betas * cfg.pilot_len
+    e1 = 1.0 / args1
+    e2 = 1.0 / args2
+    grad1 = (c1 * e1 + bt * cfg.cluster_totals(a3 * e1)) / _LN2
+    grad2 = (c2 * e2 + bt * cfg.cluster_totals(a3 * e2)) / _LN2
+    return float(np.log2(args1).sum()), grad1, float(np.log2(args2).sum()), grad2
 
 
 def uplink_log_arguments(cfg: SystemConfig, q: DownlinkPower, p: UplinkPower):
     """The affine log arguments (f1, f2) of the uplink decomposition,
     flattened across clusters. f2 equals (total interference + 1) times
     the pilot-energy normalizer (1 + tau sum beta P), hence positive."""
-    a_coeffs = _uplink_coeffs(cfg, q)
-    tau = cfg.pilot_len
-    args1, args2 = [], []
-    for m in range(cfg.n_clusters):
-        beta = cfg.beta(m)
-        p_m = p.p[m]
-        s = tau * float(beta @ p_m)
-        c1 = (a_coeffs[0][m] + a_coeffs[1][m]) * beta * tau
-        c2 = a_coeffs[1][m] * beta * tau
-        args1.append(c1 * p_m + a_coeffs[2][m] * (s + 1.0))
-        args2.append(c2 * p_m + a_coeffs[2][m] * (s + 1.0))
-    return np.concatenate(args1), np.concatenate(args2)
+    return _uplink_args(cfg, _uplink_coeffs(cfg, q), p.flat())[:2]
 
 
 def uplink_objective(
@@ -214,85 +191,49 @@ def _downlink_parts(cfg: SystemConfig, coeffs, q_flat: np.ndarray):
     halves of the downlink secrecy sum (1/ln 2 included in gradients)."""
     b1, b2, b3 = coeffs
     beta_e = cfg.eav_gain
+    beta = cfg.flat_betas
     n_users = cfg.total_users
-    m_tot = cfg.n_clusters
+    c = cfg.cluster_of
+    starts = cfg.user_offsets
 
-    rows, pos = [], 0
-    for k_m in cfg.users_per_cluster:
-        rows.append(q_flat[pos : pos + k_m + 1])
-        pos += k_m + 1
-    row_sums = np.array([float(r.sum()) for r in rows])
-    q_total = float(row_sums.sum())
+    users, an, stronger, s_other = cfg.user_powers(q_flat)
+    q_total = float(q_flat.sum())
     g4_arg = beta_e * q_total + 1.0
 
-    concave_value = 0.0
-    sub_value = n_users * math.log2(g4_arg)
-    e3_rows, e1_rows, e2_rows = [], [], []
-    t1 = np.empty(m_tot)
-    t2 = np.empty(m_tot)
-    for m in range(m_tot):
-        beta = cfg.beta(m)
-        row = rows[m]
-        users = row[1:]
-        prefix = np.concatenate(([0.0], np.cumsum(users)[:-1]))
-        s_other = float(row_sums.sum() - row_sums[m])
-        den2 = b2[m] * (users + row[0]) + b3[m] * prefix + beta * s_other + 1.0
-        g1_arg = den2 + b1[m] * users
-        g3_arg = beta_e * (q_total - users) + 1.0
-        concave_value += float(np.log2(g1_arg).sum() + np.log2(g3_arg).sum())
-        sub_value += float(np.log2(den2).sum())
-        e1 = 1.0 / g1_arg
-        e2 = 1.0 / den2
-        e1_rows.append(e1)
-        e2_rows.append(e2)
-        e3_rows.append(1.0 / g3_arg)
-        t1[m] = float(beta @ e1)
-        t2[m] = float(beta @ e2)
+    den2 = b2 * (users + an) + b3 * stronger + beta * s_other + 1.0
+    g1_arg = den2 + b1 * users
+    g3_arg = beta_e * (q_total - users) + 1.0
+    concave_value = float(np.log2(g1_arg).sum() + np.log2(g3_arg).sum())
+    sub_value = n_users * math.log2(g4_arg) + float(np.log2(den2).sum())
+    e1 = 1.0 / g1_arg
+    e2 = 1.0 / den2
+    e3 = 1.0 / g3_arg
 
-    e3_total = float(sum(e.sum() for e in e3_rows))
-    t1_total = float(t1.sum())
-    t2_total = float(t2.sum())
+    # A slot's power enters the cross terms of every other cluster's users
+    # (t1, t2: per-cluster sums of beta e), its own cluster's terms through
+    # b2 (AN slot) or b3 (the weaker users' sums), and every eavesdropper
+    # log.
+    t1 = np.add.reduceat(beta * e1, starts)
+    t2 = np.add.reduceat(beta * e2, starts)
+    cross1 = t1.sum() - t1
+    cross2 = t2.sum() - t2
+    e3_total = e3.sum()
+    g4_term = n_users * beta_e / g4_arg
 
-    concave_grads, sub_grads = [], []
-    for m in range(m_tot):
-        e1, e2, e3 = e1_rows[m], e2_rows[m], e3_rows[m]
-        k_m = e1.size
+    def weaker_sums(values):
+        return cfg.cluster_totals(values) - cfg.stronger_sums(values) - values
 
-        def _suffix(values):
-            tail = np.cumsum(values[::-1])[::-1]
-            out = np.empty_like(values)
-            out[:-1] = tail[1:]
-            out[-1] = 0.0
-            return out
-
-        cg = np.empty(k_m + 1)
-        sg = np.empty(k_m + 1)
-        # AN slot: leakage rows of every own-cluster term, the other
-        # clusters' cross terms, and the eavesdropper logs.
-        cg[0] = float(b2[m] @ e1) + (t1_total - t1[m]) + beta_e * e3_total
-        sg[0] = float(b2[m] @ e2) + (t2_total - t2[m]) + n_users * beta_e / g4_arg
-        # User slots.
-        cg[1:] = (
-            (b1[m] + b2[m]) * e1
-            + _suffix(b3[m] * e1)
-            + (t1_total - t1[m])
-            + beta_e * (e3_total - e3)
-        )
-        sg[1:] = (
-            b2[m] * e2
-            + _suffix(b3[m] * e2)
-            + (t2_total - t2[m])
-            + n_users * beta_e / g4_arg
-        )
-        concave_grads.append(cg / _LN2)
-        sub_grads.append(sg / _LN2)
-
-    return (
-        concave_value,
-        np.concatenate(concave_grads),
-        sub_value,
-        np.concatenate(sub_grads),
+    concave_grad = np.empty(q_flat.size)
+    sub_grad = np.empty(q_flat.size)
+    concave_grad[cfg.slot_offsets] = (
+        np.add.reduceat(b2 * e1, starts) + cross1 + beta_e * e3_total
     )
+    sub_grad[cfg.slot_offsets] = np.add.reduceat(b2 * e2, starts) + cross2 + g4_term
+    concave_grad[cfg.user_slots] = (
+        (b1 + b2) * e1 + weaker_sums(b3 * e1) + cross1[c] + beta_e * (e3_total - e3)
+    )
+    sub_grad[cfg.user_slots] = b2 * e2 + weaker_sums(b3 * e2) + cross2[c] + g4_term
+    return concave_value, concave_grad / _LN2, sub_value, sub_grad / _LN2
 
 
 def downlink_objective(
@@ -436,11 +377,8 @@ def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> f
     """Unclamped sum of per-user (legitimate - eavesdropping) rates; the
     quantity the DC solvers actually maximize."""
     rho = compute_rho(cfg, p)
-    total = 0.0
-    for m in range(cfg.n_clusters):
-        for k in range(cfg.users_per_cluster[m]):
-            total += legit_rate(cfg, rho, q, m, k) - eaves_rate(cfg, q, m, k)
-    return total
+    legit, eaves = _flat_rates(cfg, np.concatenate(rho.rho), q.flat())
+    return float((legit - eaves).sum())
 
 
 def _stage_objective(cfg, p, q, lam, circuit_power) -> float:
@@ -448,6 +386,24 @@ def _stage_objective(cfg, p, q, lam, circuit_power) -> float:
     if lam != 0.0:
         value -= lam * (p.total() + q.total() + circuit_power)
     return value
+
+
+def _dc_stage(step, objective, x, start: float, options: SolveOptions, trace: SolverTrace):
+    """Repeat one DC step from x, whose stage objective is `start`, until
+    the objective gains less than inner_tol (converged) or max_inner steps
+    have run. Records the objective sequence in trace; returns the last
+    iterate, its objective and whether the loop converged."""
+    values = [start]
+    converged = False
+    for _ in range(options.max_inner):
+        x = step(x)
+        values.append(objective(x))
+        if values[-1] - values[-2] < options.inner_tol:
+            converged = True
+            break
+    trace.step_values.append(values)
+    trace.inner_iteration_counts.append(len(values) - 1)
+    return x, values[-1], converged
 
 
 def _alternate(
@@ -470,28 +426,20 @@ def _alternate(
 
     for _ in range(options.max_outer):
         # Uplink stage at fixed downlink powers.
-        values = [trace.outer_values[-1]]
-        for _ in range(options.max_inner):
-            p = uplink_dc_step(cfg, q, p, p_max, penalty=lam, options=options)
-            values.append(_stage_objective(cfg, p, q, lam, circuit_power))
-            if values[-1] - values[-2] < options.inner_tol:
-                break
-        trace.step_values.append(values)
-        trace.inner_iteration_counts.append(len(values) - 1)
-        r_up = values[-1]
+        p, r_up, _ = _dc_stage(
+            lambda p: uplink_dc_step(cfg, q, p, p_max, penalty=lam, options=options),
+            lambda p: _stage_objective(cfg, p, q, lam, circuit_power),
+            p, trace.outer_values[-1], options, trace,
+        )
         trace.outer_values.append(r_up)
 
         # Downlink stage at the resulting estimation quality.
         rho = compute_rho(cfg, p)
-        values = [r_up]
-        for _ in range(options.max_inner):
-            q = downlink_dc_step(cfg, rho, q, q_max, penalty=lam, options=options)
-            values.append(_stage_objective(cfg, p, q, lam, circuit_power))
-            if values[-1] - values[-2] < options.inner_tol:
-                break
-        trace.step_values.append(values)
-        trace.inner_iteration_counts.append(len(values) - 1)
-        r_down = values[-1]
+        q, r_down, _ = _dc_stage(
+            lambda q: downlink_dc_step(cfg, rho, q, q_max, penalty=lam, options=options),
+            lambda q: _stage_objective(cfg, p, q, lam, circuit_power),
+            q, r_up, options, trace,
+        )
         trace.outer_values.append(r_down)
 
         eps_star = r_down - r_up
@@ -624,16 +572,12 @@ def baseline_downlink_se(
     p, q = baseline_fixed(cfg, p_max, q_max)
     rho = compute_rho(cfg, p)
     trace = SolverTrace()
-    values = [_stage_objective(cfg, p, q, 0.0, 0.0)]
-    for _ in range(options.max_inner):
-        q = downlink_dc_step(cfg, rho, q, q_max, options=options)
-        values.append(_stage_objective(cfg, p, q, 0.0, 0.0))
-        if values[-1] - values[-2] < options.inner_tol:
-            trace.converged = True
-            break
-    trace.step_values.append(values)
-    trace.inner_iteration_counts.append(len(values) - 1)
-    trace.outer_values = values
+    q, _, trace.converged = _dc_stage(
+        lambda q: downlink_dc_step(cfg, rho, q, q_max, options=options),
+        lambda q: smooth_secrecy_sum(cfg, p, q),
+        q, smooth_secrecy_sum(cfg, p, q), options, trace,
+    )
+    trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
 
 
@@ -647,16 +591,12 @@ def baseline_uplink_se(
     options = options or SolveOptions()
     p, q = baseline_fixed(cfg, p_max, q_max)
     trace = SolverTrace()
-    values = [_stage_objective(cfg, p, q, 0.0, 0.0)]
-    for _ in range(options.max_inner):
-        p = uplink_dc_step(cfg, q, p, p_max, options=options)
-        values.append(_stage_objective(cfg, p, q, 0.0, 0.0))
-        if values[-1] - values[-2] < options.inner_tol:
-            trace.converged = True
-            break
-    trace.step_values.append(values)
-    trace.inner_iteration_counts.append(len(values) - 1)
-    trace.outer_values = values
+    p, _, trace.converged = _dc_stage(
+        lambda p: uplink_dc_step(cfg, q, p, p_max, options=options),
+        lambda p: smooth_secrecy_sum(cfg, p, q),
+        p, smooth_secrecy_sum(cfg, p, q), options, trace,
+    )
+    trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
 
 

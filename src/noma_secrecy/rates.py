@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     DownlinkPower,
@@ -53,13 +52,10 @@ __all__ = [
     "energy_efficiency",
 ]
 
-_LN2 = math.log(2.0)
-
-
 def chi_mean(n_antennas: int) -> float:
     """Mean length of an N_t-dimensional unit-variance complex Gaussian
     vector: Gamma(N_t + 1/2) / Gamma(N_t)."""
-    return float(np.exp(gammaln(n_antennas + 0.5) - gammaln(n_antennas)))
+    return math.exp(math.lgamma(n_antennas + 0.5) - math.lgamma(n_antennas))
 
 
 def array_gain(n_antennas: int, exact: bool = False) -> float:
@@ -94,6 +90,48 @@ class RateReport:
     ee: float | None = None
 
 
+def _user_terms(
+    cfg: SystemConfig, rho_flat: np.ndarray, q_flat: np.ndarray, exact_gain: bool = False
+):
+    """Every user's closed-form terms from flat estimation qualities and
+    a flat downlink vector: (kappa, I1, I2, I3) of the module docstring,
+    noise excluded, and the eavesdropper's signal and interference powers
+    with beta_E factored out, so its SINR is beta_E s / (beta_E i + 1).
+
+    The eavesdropper terms do not depend on rho.
+    """
+    nt = cfg.n_antennas
+    beta = cfg.flat_betas
+    own, an, stronger, others = cfg.user_powers(q_flat)
+    beam = rho_flat * nt + 1.0 - rho_flat  # own-beam power, E|h^H w|^2
+
+    kappa = own * beta * rho_flat * array_gain(nt, exact_gain)
+    if exact_gain:
+        im1 = own * beta * beam - kappa
+    else:
+        im1 = own * beta * (1.0 - rho_flat)
+    im2 = beta * (stronger * beam + an * (1.0 - rho_flat))
+    im3 = beta * others
+    return kappa, im1, im2, im3, own, q_flat.sum() - own
+
+
+def _flat_rates(
+    cfg: SystemConfig, rho_flat: np.ndarray, q_flat: np.ndarray, exact_gain: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Legitimate and eavesdropping rates of every user, flat."""
+    kappa, im1, im2, im3, e_sig, e_int = _user_terms(cfg, rho_flat, q_flat, exact_gain)
+    beta_e = cfg.eav_gain
+    legit = cfg.overhead * np.log2(1.0 + kappa / (im1 + im2 + im3 + 1.0))
+    eaves = cfg.overhead * np.log2(1.0 + beta_e * e_sig / (beta_e * e_int + 1.0))
+    return legit, eaves
+
+
+def _user_index(cfg: SystemConfig, m: int, k: int) -> int:
+    if not (0 <= m < cfg.n_clusters and 0 <= k < cfg.users_per_cluster[m]):
+        raise IndexError("no user %d in cluster %d" % (k, m))
+    return int(cfg.user_offsets[m]) + k
+
+
 def sinr_terms(
     cfg: SystemConfig,
     rho: EstimationQuality,
@@ -103,21 +141,9 @@ def sinr_terms(
     exact_gain: bool = False,
 ) -> SinrDecomposition:
     """Signal/interference decomposition for user k of cluster m."""
-    beta = float(cfg.beta(m)[k])
-    r = float(rho.rho[m][k])
-    row = q.q[m]
-    qk = float(row[1 + k])
-    nt = cfg.n_antennas
-    gain = array_gain(nt, exact_gain)
-
-    kappa = qk * beta * r * gain
-    if exact_gain:
-        im1 = qk * beta * (r * nt + 1.0 - r) - kappa
-    else:
-        im1 = qk * beta * (1.0 - r)
-    stronger = float(row[1 : 1 + k].sum())
-    im2 = beta * (stronger * (r * nt + 1.0 - r) + float(row[0]) * (1.0 - r))
-    im3 = beta * float(sum(q.q[j].sum() for j in range(cfg.n_clusters) if j != m))
+    u = _user_index(cfg, m, k)
+    terms = _user_terms(cfg, np.concatenate(rho.rho), q.flat(), exact_gain)
+    kappa, im1, im2, im3 = (float(t[u]) for t in terms[:4])
     return SinrDecomposition(kappa=kappa, im1=im1, im2=im2, im3=im3)
 
 
@@ -130,8 +156,8 @@ def legit_rate(
     exact_gain: bool = False,
 ) -> float:
     """Average achievable rate of user (m, k) in bits/s/Hz."""
-    terms = sinr_terms(cfg, rho, q, m, k, exact_gain)
-    return cfg.overhead * math.log2(1.0 + terms.sinr)
+    u = _user_index(cfg, m, k)
+    return float(_flat_rates(cfg, np.concatenate(rho.rho), q.flat(), exact_gain)[0][u])
 
 
 def eaves_rate(cfg: SystemConfig, q: DownlinkPower, m: int, k: int) -> float:
@@ -141,13 +167,8 @@ def eaves_rate(cfg: SystemConfig, q: DownlinkPower, m: int, k: int) -> float:
     eavesdropper's channel is uncorrelated with every beam, so each unit
     of transmit power lands on it with unit average gain.
     """
-    beta_e = cfg.eav_gain
-    row = q.q[m]
-    qk = float(row[1 + k])
-    intra = float(row.sum()) - qk
-    inter = float(sum(q.q[j].sum() for j in range(cfg.n_clusters) if j != m))
-    denom = beta_e * intra + beta_e * inter + 1.0
-    return cfg.overhead * math.log2(1.0 + qk * beta_e / denom)
+    u = _user_index(cfg, m, k)
+    return float(_flat_rates(cfg, np.zeros(cfg.total_users), q.flat())[1][u])
 
 
 def secrecy_report(
@@ -158,20 +179,13 @@ def secrecy_report(
 ) -> RateReport:
     """Per-user secrecy rates [legit - eaves]^+ and their sum."""
     rho = compute_rho(cfg, p)
-    legit, eaves, secrecy = [], [], []
-    for m in range(cfg.n_clusters):
-        k_m = cfg.users_per_cluster[m]
-        lrow = np.array([legit_rate(cfg, rho, q, m, k, exact_gain) for k in range(k_m)])
-        erow = np.array([eaves_rate(cfg, q, m, k) for k in range(k_m)])
-        legit.append(lrow)
-        eaves.append(erow)
-        secrecy.append(np.maximum(lrow - erow, 0.0))
-    total = float(sum(s.sum() for s in secrecy))
+    legit, eaves = _flat_rates(cfg, np.concatenate(rho.rho), q.flat(), exact_gain)
+    secrecy = np.maximum(legit - eaves, 0.0)
     return RateReport(
-        legit=tuple(legit),
-        eaves=tuple(eaves),
-        secrecy=tuple(secrecy),
-        sum_secrecy=total,
+        legit=cfg.split_users(legit),
+        eaves=cfg.split_users(eaves),
+        secrecy=cfg.split_users(secrecy),
+        sum_secrecy=float(secrecy.sum()),
     )
 
 
@@ -209,35 +223,17 @@ def asymptotic_high_power(
     total = fractions.total()
     if abs(total - 1.0) > 1e-9:
         raise ValueError("power fractions must sum to 1, got %.12g" % total)
-    nt = cfg.n_antennas
-    legit_rows, eaves_rows = [], []
-    for m in range(cfg.n_clusters):
-        row = fractions.q[m]
-        inter = float(
-            sum(fractions.q[j].sum() for j in range(cfg.n_clusters) if j != m)
-        )
-        k_m = cfg.users_per_cluster[m]
-        lrow = np.empty(k_m)
-        erow = np.empty(k_m)
-        for k in range(k_m):
-            r = float(rho.rho[m][k])
-            sk = float(row[1 + k])
-            stronger = float(row[1 : 1 + k].sum())
-            den_l = (
-                sk * (1.0 - r)
-                + stronger * (r * nt + 1.0 - r)
-                + float(row[0]) * (1.0 - r)
-                + inter
-            )
-            lrow[k] = cfg.overhead * math.log2(1.0 + sk * r * nt / den_l)
-            den_e = (float(row.sum()) - sk) + inter
-            if den_e == 0.0:
-                erow[k] = math.inf
-            else:
-                erow[k] = cfg.overhead * math.log2(1.0 + sk / den_e)
-        legit_rows.append(lrow)
-        eaves_rows.append(erow)
-    return tuple(legit_rows), tuple(eaves_rows)
+    # The finite-power terms without the noise term; beta cancels.
+    kappa, im1, im2, im3, e_sig, e_int = _user_terms(
+        cfg, np.concatenate(rho.rho), fractions.flat()
+    )
+    den = im1 + im2 + im3
+    if np.any(den == 0.0):
+        raise ZeroDivisionError("rate limit is 0/0: a user with a zero share sees no interference")
+    legit = cfg.overhead * np.log2(1.0 + kappa / den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eaves = np.where(e_int == 0.0, math.inf, cfg.overhead * np.log2(1.0 + e_sig / e_int))
+    return cfg.split_users(legit), cfg.split_users(eaves)
 
 
 def oma_report(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> RateReport:
