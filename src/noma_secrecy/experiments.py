@@ -55,6 +55,17 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("n_antennas", "q_max_db", "p_max_db", "users_per_cluster")
+# The keys a spec may hold, per section; each feeds one ExperimentSpec field.
+SPEC_SECTIONS = {
+    "system": {
+        "n_antennas", "coherence_len", "eav_gain", "pilot_len", "clusters",
+        "n_clusters", "users_per_cluster", "total_users",
+    },
+    "powers": {"p_max_db", "q_max_db", "circuit_power_db"},
+    "allocation": {"an_fraction"},
+    "sweep": {"axis", "values"},
+}
+SPEC_KEYS = {"scenario", "trials", "seed", "output", *SPEC_SECTIONS}
 
 USER_HEADER = [
     "scenario",
@@ -128,10 +139,24 @@ class ExperimentSpec:
     output: str | None
 
 
+def _finite(name: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("%s must be finite, got %r" % (name, x))
+    return x
+
+
 def load_spec(path: str) -> ExperimentSpec:
     """Read and validate a JSON experiment spec."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    unknown = sorted(set(raw) - SPEC_KEYS) + sorted(
+        "%s.%s" % (section, key)
+        for section, keys in SPEC_SECTIONS.items()
+        for key in set(raw.get(section) or {}) - keys
+    )
+    if unknown:
+        raise ValueError("unknown experiment spec key(s): %s" % ", ".join(unknown))
     try:
         scenario = str(raw["scenario"])
         system = raw["system"]
@@ -154,7 +179,7 @@ def load_spec(path: str) -> ExperimentSpec:
             raise ValueError(
                 "sweep.axis must be one of %s, got %r" % (", ".join(SWEEP_AXES), sweep_axis)
             )
-        sweep_values = tuple(float(v) for v in sweep["values"])
+        sweep_values = tuple(_finite("sweep.values", v) for v in sweep["values"])
         if len(sweep_values) < 1:
             raise ValueError("sweep.values must be a non-empty list")
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
@@ -176,10 +201,12 @@ def load_spec(path: str) -> ExperimentSpec:
             int(system["users_per_cluster"]) if "users_per_cluster" in system else None
         ),
         total_users=int(system["total_users"]) if "total_users" in system else None,
-        p_max_db=float(powers.get("p_max_db", 0.0)),
-        q_max_db=float(powers.get("q_max_db", 20.0)),
+        p_max_db=_finite("powers.p_max_db", powers.get("p_max_db", 0.0)),
+        q_max_db=_finite("powers.q_max_db", powers.get("q_max_db", 20.0)),
         circuit_power_db=(
-            float(powers["circuit_power_db"]) if "circuit_power_db" in powers else None
+            _finite("powers.circuit_power_db", powers["circuit_power_db"])
+            if "circuit_power_db" in powers
+            else None
         ),
         an_fraction=float(raw.get("allocation", {}).get("an_fraction", 0.2)),
         sweep_axis=sweep_axis,

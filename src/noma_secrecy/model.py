@@ -166,6 +166,20 @@ class SystemConfig:
         others = q_flat.sum() - np.add.reduceat(q_flat, self.slot_offsets)
         return own, an, self.stronger_sums(own), others[self.cluster_of]
 
+    @cached_property
+    def slot_indicators(self) -> tuple[np.ndarray, ...]:
+        """The four `user_powers` views as 0/1 users x downlink-slots
+        matrices: each user's own slot, its cluster's AN slot, the slots
+        of the stronger users of its cluster and every slot of the other
+        clusters."""
+        slots = np.arange(self.total_users + self.n_clusters)
+        slot_cluster = np.repeat(np.arange(self.n_clusters), np.add(self.users_per_cluster, 1))
+        own = self.user_slots[:, None]
+        an = self.slot_offsets[self.cluster_of][:, None]
+        same = slot_cluster == self.cluster_of[:, None]
+        masks = (slots == own, slots == an, same & (an < slots) & (slots < own), ~same)
+        return tuple(_readonly(m) for m in masks)
+
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every structural invariant; return cfg unchanged if all hold.
@@ -181,12 +195,14 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             "need coherence_len >= pilot_len >= n_clusters, got T=%d, tau=%d, M=%d"
             % (cfg.coherence_len, cfg.pilot_len, cfg.n_clusters)
         )
-    if cfg.eav_gain < 0.0:
-        raise ValueError("eav_gain must be nonnegative, got %r" % cfg.eav_gain)
+    if not (math.isfinite(cfg.eav_gain) and cfg.eav_gain >= 0.0):
+        raise ValueError("eav_gain must be finite and nonnegative, got %r" % cfg.eav_gain)
     for m, cluster in enumerate(cfg.clusters):
         betas = cluster.betas
         if betas.size < 1:
             raise ValueError("cluster %d has no users" % m)
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("cluster %d has a non-finite large-scale gain" % m)
         if np.any(betas <= 0.0):
             raise ValueError("cluster %d has a non-positive large-scale gain" % m)
         if np.any(np.diff(betas) > 0.0):
@@ -223,6 +239,8 @@ class UplinkPower(_RaggedPower):
     def __post_init__(self):
         rows = _ragged(self.p)
         for m, r in enumerate(rows):
+            if not np.all(np.isfinite(r)):
+                raise ValueError("uplink power must be finite (cluster %d)" % m)
             if np.any(r < 0.0):
                 raise ValueError("uplink power must be nonnegative (cluster %d)" % m)
         object.__setattr__(self, "p", rows)
@@ -269,6 +287,8 @@ class DownlinkPower(_RaggedPower):
                 raise ValueError(
                     "downlink row %d needs an AN slot plus at least one user" % m
                 )
+            if not np.all(np.isfinite(r)):
+                raise ValueError("downlink power must be finite (cluster %d)" % m)
             if np.any(r < 0.0):
                 raise ValueError("downlink power must be nonnegative (cluster %d)" % m)
         object.__setattr__(self, "q", rows)

@@ -16,9 +16,12 @@ the previous iterate, so each accepted step cannot decrease the true
 objective: with the subtracted part linearized from above, the surrogate
 minorizes the objective and touches it at the expansion point.
 
-Gradients are derived from the log-argument definitions (base-2 logs, so
-every term carries a 1/ln 2 factor) and are validated against central
-finite differences in the test suite.
+Each half of both DC decompositions is a weighted sum of base-2 logs of
+affine forms of the stage's power vector, w . log2(A x + b) (the standard
+form of DC power allocation). One `LogAffine` type evaluates every such
+half and its gradient A^T (w / (A x + b)) / ln 2; the stage builders only
+assemble A, b and w from the layout's indicator matrices. The gradients
+are validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -116,48 +119,64 @@ def dc_coefficients(
     return DcCoefficients(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, b3=b3)
 
 
+@dataclass(frozen=True)
+class LogAffine:
+    """w . log2(A x + b): one half of a DC decomposition."""
+
+    A: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and exact gradient (1/ln 2 included) at x."""
+        args = self.A @ x + self.b
+        if np.any(args <= 0.0):
+            # Cannot happen for nonnegative powers (every argument is an
+            # interference-plus-noise power, in the uplink times the pilot
+            # normalizer, so positive); guard against stray inputs.
+            raise FloatingPointError("non-positive log argument")
+        return float(self.w @ np.log2(args)), self.A.T @ (self.w / args) / _LN2
+
+
+def _objective(cfg: SystemConfig, forms, x: np.ndarray, penalty: float):
+    """overhead * (concave - subtracted half) - penalty * sum x, with its
+    gradient."""
+    concave, sub = forms
+    cval, cgrad = concave.evaluate(x)
+    sval, sgrad = sub.evaluate(x)
+    scale = cfg.overhead
+    value = scale * (cval - sval) - penalty * float(x.sum())
+    return value, scale * (cgrad - sgrad) - penalty
+
+
 # ---------------------------------------------------------------------------
-# Uplink objective: sum_k log2 f1_k - log2 f2_k per cluster, both arguments
-# affine in the uplink powers and structurally positive for P >= 0.
+# Uplink objective: sum_k log2 f1_k - log2 f2_k, both arguments affine in the
+# uplink powers: f = c P_k + a3_k (1 + tau sum_{i in cluster} beta_i P_i).
 
 
-def _uplink_args(cfg: SystemConfig, coeffs, p_flat: np.ndarray):
-    """The log arguments f1, f2 of every user at the flat uplink powers,
-    with their slopes c1, c2 in the user's own power and the pilot-energy
-    normalizer (1 + tau sum beta P) of its cluster."""
+def _uplink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
+    """The halves f1 (slope c = (a1 + a2) beta tau in the own power) and
+    f2 (c = a2 beta tau) of the uplink sum."""
     a1, a2, a3 = coeffs
     bt = cfg.flat_betas * cfg.pilot_len
-    norm = 1.0 + cfg.cluster_totals(bt * p_flat)
-    c1 = (a1 + a2) * bt
-    c2 = a2 * bt
-    return c1 * p_flat + a3 * norm, c2 * p_flat + a3 * norm, c1, c2
+    same_cluster = cfg.cluster_of[:, None] == cfg.cluster_of
+    normalizer = a3[:, None] * same_cluster * bt
+    ones = np.ones(cfg.total_users)
+    return tuple(LogAffine(np.diag(c * bt) + normalizer, a3, ones) for c in (a1 + a2, a2))
 
 
 def _uplink_parts(cfg: SystemConfig, coeffs, p_flat: np.ndarray):
-    """Values and gradients of the two concave halves of the uplink sum.
-
-    Returns (f1_value, f1_grad, f2_value, f2_grad) where the values are
-    sums of base-2 logs and the gradients are exact (1/ln 2 included).
-    """
-    args1, args2, c1, c2 = _uplink_args(cfg, coeffs, p_flat)
-    if np.any(args1 <= 0.0) or np.any(args2 <= 0.0):
-        # Cannot happen for P >= 0 (both arguments are the product of
-        # two positive physical factors); guard against stray inputs.
-        raise FloatingPointError("non-positive log argument in uplink objective")
-    a3 = coeffs[2]
-    bt = cfg.flat_betas * cfg.pilot_len
-    e1 = 1.0 / args1
-    e2 = 1.0 / args2
-    grad1 = (c1 * e1 + bt * cfg.cluster_totals(a3 * e1)) / _LN2
-    grad2 = (c2 * e2 + bt * cfg.cluster_totals(a3 * e2)) / _LN2
-    return float(np.log2(args1).sum()), grad1, float(np.log2(args2).sum()), grad2
+    """(f1_value, f1_grad, f2_value, f2_grad) of the uplink halves."""
+    f1, f2 = _uplink_forms(cfg, coeffs)
+    return (*f1.evaluate(p_flat), *f2.evaluate(p_flat))
 
 
 def uplink_log_arguments(cfg: SystemConfig, q: DownlinkPower, p: UplinkPower):
     """The affine log arguments (f1, f2) of the uplink decomposition,
     flattened across clusters. f2 equals (total interference + 1) times
     the pilot-energy normalizer (1 + tau sum beta P), hence positive."""
-    return _uplink_args(cfg, _uplink_coeffs(cfg, q), p.flat())[:2]
+    x = p.flat()
+    return tuple(f.A @ x + f.b for f in _uplink_forms(cfg, _uplink_coeffs(cfg, q)))
 
 
 def uplink_objective(
@@ -172,13 +191,7 @@ def uplink_objective(
     The eavesdropping rates do not depend on the uplink powers, so this
     differs from the secrecy sum only by a constant.
     """
-    coeffs = _uplink_coeffs(cfg, q)
-    p_flat = p.flat()
-    f1_value, f1_grad, f2_value, f2_grad = _uplink_parts(cfg, coeffs, p_flat)
-    scale = cfg.overhead
-    value = scale * (f1_value - f2_value) - penalty * float(p_flat.sum())
-    grad = scale * (f1_grad - f2_grad) - penalty
-    return value, grad
+    return _objective(cfg, _uplink_forms(cfg, _uplink_coeffs(cfg, q)), p.flat(), penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -186,54 +199,28 @@ def uplink_objective(
 # (g2 + g4), all four being logs of affine functions of the downlink powers.
 
 
-def _downlink_parts(cfg: SystemConfig, coeffs, q_flat: np.ndarray):
-    """Values/gradients of the concave (g1+g3) and subtracted (g2+g4)
-    halves of the downlink secrecy sum (1/ln 2 included in gradients)."""
+def _downlink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
+    """The concave (g1 + g3) and subtracted (g2 + g4) halves of the
+    downlink secrecy sum. Per user, g2 = b2 (own + AN) + b3 stronger +
+    beta others + 1 is the legitimate interference, g1 = g2 + b1 own and
+    g3 = beta_E (total - own) + 1 the eavesdropper's interference;
+    g4 = beta_E total + 1 enters once per user."""
     b1, b2, b3 = coeffs
-    beta_e = cfg.eav_gain
-    beta = cfg.flat_betas
-    n_users = cfg.total_users
-    c = cfg.cluster_of
-    starts = cfg.user_offsets
+    own, an, stronger, others = cfg.slot_indicators
+    n = cfg.total_users
+    g2 = b2[:, None] * (own + an) + b3[:, None] * stronger + cfg.flat_betas[:, None] * others
+    g3 = cfg.eav_gain * (1.0 - own)
+    g4 = np.full((1, own.shape[1]), cfg.eav_gain)
+    concave = LogAffine(np.vstack((g2 + b1[:, None] * own, g3)), np.ones(2 * n), np.ones(2 * n))
+    sub = LogAffine(np.vstack((g4, g2)), np.ones(n + 1), np.concatenate(([n], np.ones(n))))
+    return concave, sub
 
-    users, an, stronger, s_other = cfg.user_powers(q_flat)
-    q_total = float(q_flat.sum())
-    g4_arg = beta_e * q_total + 1.0
 
-    den2 = b2 * (users + an) + b3 * stronger + beta * s_other + 1.0
-    g1_arg = den2 + b1 * users
-    g3_arg = beta_e * (q_total - users) + 1.0
-    concave_value = float(np.log2(g1_arg).sum() + np.log2(g3_arg).sum())
-    sub_value = n_users * math.log2(g4_arg) + float(np.log2(den2).sum())
-    e1 = 1.0 / g1_arg
-    e2 = 1.0 / den2
-    e3 = 1.0 / g3_arg
-
-    # A slot's power enters the cross terms of every other cluster's users
-    # (t1, t2: per-cluster sums of beta e), its own cluster's terms through
-    # b2 (AN slot) or b3 (the weaker users' sums), and every eavesdropper
-    # log.
-    t1 = np.add.reduceat(beta * e1, starts)
-    t2 = np.add.reduceat(beta * e2, starts)
-    cross1 = t1.sum() - t1
-    cross2 = t2.sum() - t2
-    e3_total = e3.sum()
-    g4_term = n_users * beta_e / g4_arg
-
-    def weaker_sums(values):
-        return cfg.cluster_totals(values) - cfg.stronger_sums(values) - values
-
-    concave_grad = np.empty(q_flat.size)
-    sub_grad = np.empty(q_flat.size)
-    concave_grad[cfg.slot_offsets] = (
-        np.add.reduceat(b2 * e1, starts) + cross1 + beta_e * e3_total
-    )
-    sub_grad[cfg.slot_offsets] = np.add.reduceat(b2 * e2, starts) + cross2 + g4_term
-    concave_grad[cfg.user_slots] = (
-        (b1 + b2) * e1 + weaker_sums(b3 * e1) + cross1[c] + beta_e * (e3_total - e3)
-    )
-    sub_grad[cfg.user_slots] = b2 * e2 + weaker_sums(b3 * e2) + cross2[c] + g4_term
-    return concave_value, concave_grad / _LN2, sub_value, sub_grad / _LN2
+def _downlink_parts(cfg: SystemConfig, coeffs, q_flat: np.ndarray):
+    """(concave_value, concave_grad, sub_value, sub_grad) of the downlink
+    halves."""
+    concave, sub = _downlink_forms(cfg, coeffs)
+    return (*concave.evaluate(q_flat), *sub.evaluate(q_flat))
 
 
 def downlink_objective(
@@ -245,13 +232,7 @@ def downlink_objective(
     """Smooth (unclamped) sum secrecy rate as a function of the downlink
     powers at fixed estimation quality, minus penalty * total downlink
     power; with its gradient."""
-    coeffs = _downlink_coeffs(cfg, rho)
-    q_flat = q.flat()
-    cval, cgrad, sval, sgrad = _downlink_parts(cfg, coeffs, q_flat)
-    scale = cfg.overhead
-    value = scale * (cval - sval) - penalty * float(q_flat.sum())
-    grad = scale * (cgrad - sgrad) - penalty
-    return value, grad
+    return _objective(cfg, _downlink_forms(cfg, _downlink_coeffs(cfg, rho)), q.flat(), penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +267,6 @@ class SolverTrace:
     """
 
     outer_values: list[float] = field(default_factory=list)
-    inner_iteration_counts: list[int] = field(default_factory=list)
     step_values: list[list[float]] = field(default_factory=list)
     epsilons: list[float] = field(default_factory=list)
     lambda_sequence: list[float] = field(default_factory=list)
@@ -297,6 +277,31 @@ def _pmax_flat(cfg: SystemConfig, p_max) -> np.ndarray:
     if np.isscalar(p_max):
         return np.full(cfg.total_users, float(p_max))
     return UplinkPower.full(cfg, p_max).flat()
+
+
+def _dc_step(cfg: SystemConfig, forms, x_prev, feasible_set, penalty, options) -> np.ndarray:
+    """One DC iteration from x_prev: maximize the concave surrogate
+    overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
+    - penalty * sum x over the feasible set."""
+    concave, sub = forms
+    scale = cfg.overhead
+    sub_prev, sub_grad_prev = sub.evaluate(x_prev)
+    lin = scale * sub_grad_prev
+    const = -scale * sub_prev + float(lin @ x_prev)
+
+    def surrogate(x):
+        value, grad = concave.evaluate(x)
+        value = scale * value - penalty * float(x.sum()) - float(lin @ x) + const
+        return value, scale * grad - penalty - lin
+
+    problem = ConcaveProblem(dim=x_prev.size, evaluate=surrogate, feasible_set=feasible_set)
+    result = maximize(
+        problem,
+        x_prev,
+        tol=options.kernel_tol,
+        max_iter=options.kernel_max_iter,
+    )
+    return result.point
 
 
 def uplink_dc_step(
@@ -310,29 +315,10 @@ def uplink_dc_step(
     """One DC iteration of the uplink subproblem: maximize the concave
     surrogate f1(P) - <grad f2(P_prev), P> (- penalty * sum P) over the
     per-user box."""
-    options = options or SolveOptions()
-    coeffs = _uplink_coeffs(cfg, q)
-    scale = cfg.overhead
-    prev_flat = p_prev.flat()
-    _, _, f2_prev, f2_grad_prev = _uplink_parts(cfg, coeffs, prev_flat)
-    lin = scale * f2_grad_prev
-    const = -scale * f2_prev + float(lin @ prev_flat)
-
-    def surrogate(x):
-        f1_value, f1_grad, _, _ = _uplink_parts(cfg, coeffs, x)
-        value = scale * f1_value - penalty * float(x.sum()) - float(lin @ x) + const
-        grad = scale * f1_grad - penalty - lin
-        return value, grad
-
+    forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
     box = Box(lower=np.zeros(cfg.total_users), upper=_pmax_flat(cfg, p_max))
-    problem = ConcaveProblem(dim=cfg.total_users, evaluate=surrogate, feasible_set=box)
-    result = maximize(
-        problem,
-        prev_flat,
-        tol=options.kernel_tol,
-        max_iter=options.kernel_max_iter,
-    )
-    return UplinkPower.from_flat(cfg, result.point)
+    point = _dc_step(cfg, forms, p_prev.flat(), box, penalty, options or SolveOptions())
+    return UplinkPower.from_flat(cfg, point)
 
 
 def downlink_dc_step(
@@ -346,31 +332,11 @@ def downlink_dc_step(
     """One DC iteration of the downlink subproblem: maximize the concave
     surrogate g1(Q) + g3(Q) - <grad (g2+g4)(Q_prev), Q> (- penalty *
     sum Q) over the capped nonnegative set."""
-    options = options or SolveOptions()
-    coeffs = _downlink_coeffs(cfg, rho)
-    scale = cfg.overhead
-    prev_flat = q_prev.flat()
-    _, _, sub_prev, sub_grad_prev = _downlink_parts(cfg, coeffs, prev_flat)
-    lin = scale * sub_grad_prev
-    const = -scale * sub_prev + float(lin @ prev_flat)
-
-    def surrogate(x):
-        cval, cgrad, _, _ = _downlink_parts(cfg, coeffs, x)
-        value = scale * cval - penalty * float(x.sum()) - float(lin @ x) + const
-        grad = scale * cgrad - penalty - lin
-        return value, grad
-
-    dim = cfg.total_users + cfg.n_clusters
-    problem = ConcaveProblem(
-        dim=dim, evaluate=surrogate, feasible_set=CappedSimplex(cap=q_max)
+    forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
+    point = _dc_step(
+        cfg, forms, q_prev.flat(), CappedSimplex(cap=q_max), penalty, options or SolveOptions()
     )
-    result = maximize(
-        problem,
-        prev_flat,
-        tol=options.kernel_tol,
-        max_iter=options.kernel_max_iter,
-    )
-    return DownlinkPower.from_flat(cfg, result.point)
+    return DownlinkPower.from_flat(cfg, point)
 
 
 def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> float:
@@ -402,7 +368,6 @@ def _dc_stage(step, objective, x, start: float, options: SolveOptions, trace: So
             converged = True
             break
     trace.step_values.append(values)
-    trace.inner_iteration_counts.append(len(values) - 1)
     return x, values[-1], converged
 
 
@@ -525,7 +490,7 @@ def maximize_ee(
         q = DownlinkPower.zeros(cfg)
 
     for _ in range(options.ee_max_outer):
-        p, q, sub = _alternate(
+        p, q, _ = _alternate(
             cfg,
             p_max,
             q_max,
@@ -549,7 +514,6 @@ def maximize_ee(
             f_hat = -lam * circuit_power
         trace.outer_values.append(se_smooth)
         trace.epsilons.append(f_hat)
-        trace.inner_iteration_counts.extend(sub.inner_iteration_counts)
         lam = se_smooth / denom
         trace.lambda_sequence.append(lam)
         if f_hat <= options.ee_tol:

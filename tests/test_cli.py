@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -335,3 +336,34 @@ class TestCliSurface:
         assert proc.returncode == 0
         assert str(out) in proc.stdout
         assert out.exists()
+
+
+class TestRejectsBadSpecs:
+    """Each override fails at the boundary: loading the spec or building
+    its configuration raises ValueError, and the CLI exits 1."""
+
+    BAD = {
+        "nan-gain": {"system": {"clusters": [[math.nan, 1.0], [2.0]]}},
+        "inf-gain": {"system": {"clusters": [[math.inf, 1.0], [2.0]]}},
+        "nan-eav-gain": {"system": {"eav_gain": math.nan}},
+        "inf-eav-gain": {"system": {"eav_gain": math.inf}},
+        "inf-p-max": {"powers": {"p_max_db": math.inf}},
+        "nan-q-max": {"powers": {"q_max_db": math.nan}},
+        "inf-circuit-power": {"powers": {"circuit_power_db": -math.inf}},
+        "nan-sweep-value": {"sweep": {"axis": "q_max_db", "values": [0.0, math.nan]}},
+        "unknown-top-key": {"power": {"p_max_db": 3.0}},
+        "unknown-system-key": {"system": {"n_antenna": 8}},
+        "unknown-powers-key": {"powers": {"q_max": 3.0}},
+        "unknown-allocation-key": {"allocation": {"an_frac": 0.1}},
+        "unknown-sweep-key": {"sweep": {"axis": "n_antennas", "value": [8]}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_library_and_cli_reject(self, tmp_path, capsys, name):
+        spec_path = write_spec(tmp_path / "spec.json", **self.BAD[name])
+        with pytest.raises(ValueError):
+            build_config(load_spec(str(spec_path)))
+        out = tmp_path / "out.csv"
+        assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

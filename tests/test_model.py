@@ -169,3 +169,22 @@ class TestPowerContainers:
         q.check_budget(3.5)
         with pytest.raises(ValueError, match="budget"):
             q.check_budget(3.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_gain(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_config(make_cfg([[bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_eav_gain(self, bad):
+        with pytest.raises(ValueError, match="eav_gain"):
+            validate_config(make_cfg([[1.0]], eav_gain=bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_powers(self, bad):
+        with pytest.raises(ValueError, match="uplink power must be finite"):
+            UplinkPower((np.array([0.5, bad]),))
+        with pytest.raises(ValueError, match="downlink power must be finite"):
+            DownlinkPower((np.array([0.5, 1.0]), np.array([bad, 1.0])))

@@ -5,6 +5,7 @@ flat per-user layout's segment offsets are what such layouts exercise."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from noma_secrecy.model import (
     compute_rho,
 )
 from noma_secrecy.optimize import (
+    LogAffine,
     _downlink_coeffs,
     _downlink_parts,
     _uplink_coeffs,
@@ -165,3 +167,20 @@ def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
     q_next = downlink_dc_step(cfg, compute_rho(cfg, p_next), q, q_max=100.0, penalty=penalty)
     assert stage(p_next, q_next) >= after_up - 1e-9
     assert q_next.total() <= 100.0 + 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_slot_indicators_match_user_powers(instance):
+    cfg, _, q, _ = instance
+    x = q.flat()
+    for matrix, view in zip(cfg.slot_indicators, cfg.user_powers(x)):
+        np.testing.assert_allclose(matrix @ x, view, rtol=1e-12, atol=1e-12)
+
+
+def test_log_affine_rejects_non_positive_arguments():
+    form = LogAffine(A=np.array([[1.0, -1.0]]), b=np.array([0.0]), w=np.array([1.0]))
+    assert form.evaluate(np.array([2.0, 1.0]))[0] == 0.0
+    for x in ([1.0, 1.0], [1.0, 2.0]):
+        with pytest.raises(FloatingPointError):
+            form.evaluate(np.array(x))

@@ -393,3 +393,25 @@ class TestEnergyEfficiency:
         report = secrecy_report(cfg, p, q)
         with pytest.raises(ValueError):
             energy_efficiency(report, p, q, 0.0)
+
+
+# Gamma(n + 1/2) / Gamma(n) rounded to double from 40-digit arithmetic,
+# on both sides of the switch from the direct ratio to the series.
+CHI_MEAN_REFERENCE = {
+    1: 0.886226925452758,
+    2: 1.329340388179137,
+    8: 2.7846046217228992,
+    32: 5.63480116017747,
+    64: 7.984390407483771,
+    128: 11.302665376639599,
+    170: 13.028821285648132,
+    171: 13.06714134825298,
+    256: 15.992189412002837,
+    1000: 31.618824001815913,
+    4096: 63.99804690480687,
+}
+
+
+def test_chi_mean_to_one_ulp():
+    for n, expected in CHI_MEAN_REFERENCE.items():
+        assert abs(chi_mean(n) - expected) <= 2.3e-16 * expected, n
