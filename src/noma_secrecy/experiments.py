@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .model import (
     db_to_linear,
     validate_config,
 )
-from .montecarlo import ergodic_rate_oracle, moment_suite
+from .montecarlo import reduce_moments, reduce_rates, simulate_trials
 from .optimize import (
     SolveOptions,
     baseline_downlink_se,
@@ -53,6 +54,8 @@ __all__ = [
     "run_optimize",
     "run_sweep",
 ]
+
+log = logging.getLogger("noma_secrecy")
 
 SWEEP_AXES = ("n_antennas", "q_max_db", "p_max_db", "users_per_cluster")
 # The keys a spec may hold, per section; each feeds one ExperimentSpec field.
@@ -146,6 +149,12 @@ def _finite(name: str, value) -> float:
     return x
 
 
+def _db(name: str, value) -> float:
+    x = _finite(name, value)
+    db_to_linear(x)  # rejects a value whose linear power overflows
+    return x
+
+
 def load_spec(path: str) -> ExperimentSpec:
     """Read and validate a JSON experiment spec."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -179,7 +188,8 @@ def load_spec(path: str) -> ExperimentSpec:
             raise ValueError(
                 "sweep.axis must be one of %s, got %r" % (", ".join(SWEEP_AXES), sweep_axis)
             )
-        sweep_values = tuple(_finite("sweep.values", v) for v in sweep["values"])
+        number = _db if sweep_axis.endswith("_db") else _finite
+        sweep_values = tuple(number("sweep.values", v) for v in sweep["values"])
         if len(sweep_values) < 1:
             raise ValueError("sweep.values must be a non-empty list")
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
@@ -201,10 +211,10 @@ def load_spec(path: str) -> ExperimentSpec:
             int(system["users_per_cluster"]) if "users_per_cluster" in system else None
         ),
         total_users=int(system["total_users"]) if "total_users" in system else None,
-        p_max_db=_finite("powers.p_max_db", powers.get("p_max_db", 0.0)),
-        q_max_db=_finite("powers.q_max_db", powers.get("q_max_db", 20.0)),
+        p_max_db=_db("powers.p_max_db", powers.get("p_max_db", 0.0)),
+        q_max_db=_db("powers.q_max_db", powers.get("q_max_db", 20.0)),
         circuit_power_db=(
-            _finite("powers.circuit_power_db", powers["circuit_power_db"])
+            _db("powers.circuit_power_db", powers["circuit_power_db"])
             if "circuit_power_db" in powers
             else None
         ),
@@ -412,7 +422,8 @@ def run_rates(spec: ExperimentSpec, out: str) -> list[str]:
 
 def run_validate(spec: ExperimentSpec, out: str) -> list[str]:
     """Closed forms against their Monte Carlo estimates with 3-sigma
-    bands; rows with no usable band (single trial) are flagged."""
+    bands; rows with no usable band (single trial) are flagged. One
+    simulation feeds both the moment rows and the rate rows."""
     cfg = build_config(spec)
     p, q = baseline_fixed(
         cfg, db_to_linear(spec.p_max_db), db_to_linear(spec.q_max_db), spec.an_fraction
@@ -421,72 +432,44 @@ def run_validate(spec: ExperimentSpec, out: str) -> list[str]:
 
     def band_row(kind, name, cluster, user, empirical, predicted, stderr):
         degenerate = bool(stderr is None or math.isnan(stderr) or stderr == 0.0)
-        z = None
+        z = None if degenerate else (empirical - predicted) / stderr
         rel = None
-        if not degenerate:
-            z = (empirical - predicted) / stderr
         if predicted not in (None, 0.0):
             rel = abs(empirical - predicted) / abs(predicted)
         rows.append(
-            [
-                spec.scenario,
-                kind,
-                name,
-                cluster,
-                user,
-                empirical,
-                predicted,
-                stderr,
-                z,
-                rel,
-                degenerate,
-            ]
+            [spec.scenario, kind, name, cluster, user]
+            + [empirical, predicted, stderr, z, rel, degenerate]
         )
 
-    for stat in moment_suite(cfg, p, q, spec.trials, spec.seed):
-        band_row(
-            "moment",
-            stat.name,
-            stat.cluster + 1,
-            None if stat.user is None else stat.user + 1,
-            stat.empirical,
-            stat.predicted,
-            stat.stderr,
-        )
+    tables = simulate_trials(cfg, p, spec.trials, spec.seed)
+    for s in reduce_moments(cfg, p, q, tables):
+        user = None if s.user is None else s.user + 1
+        band_row("moment", s.name, s.cluster + 1, user, s.empirical, s.predicted, s.stderr)
 
-    oracle = ergodic_rate_oracle(cfg, p, q, spec.trials, spec.seed)
+    oracle = reduce_rates(cfg, q, tables)
     closed = secrecy_report(cfg, p, q)
     for m in range(cfg.n_clusters):
         for k in range(cfg.users_per_cluster[m]):
-            band_row(
-                "rate",
-                "legit",
-                m + 1,
-                k + 1,
-                oracle.report.legit[m][k],
-                closed.legit[m][k],
-                oracle.legit_se[m][k],
-            )
-            band_row(
-                "rate",
-                "eaves",
-                m + 1,
-                k + 1,
-                oracle.report.eaves[m][k],
-                closed.eaves[m][k],
-                oracle.eaves_se[m][k],
-            )
-            sec_se = math.hypot(oracle.legit_se[m][k], oracle.eaves_se[m][k])
-            band_row(
-                "rate",
-                "secrecy",
-                m + 1,
-                k + 1,
-                oracle.report.secrecy[m][k],
-                closed.secrecy[m][k],
-                sec_se,
-            )
-    return [_write_csv(out, VALIDATE_HEADER, rows)]
+            legit_se, eaves_se = oracle.legit_se[m][k], oracle.eaves_se[m][k]
+            sec_se = math.hypot(legit_se, eaves_se)
+            for name, stderr in (("legit", legit_se), ("eaves", eaves_se), ("secrecy", sec_se)):
+                empirical, predicted = (getattr(r, name)[m][k] for r in (oracle.report, closed))
+                band_row("rate", name, m + 1, k + 1, empirical, predicted, stderr)
+    written = [_write_csv(out, VALIDATE_HEADER, rows)]
+
+    banded = [row for row in rows if not row[10]]  # rows with a z-score
+    outside = [row[1] for row in banded if abs(row[8]) > 3.0]
+    log.log(
+        logging.WARNING if outside else logging.INFO,
+        "validate %r: %d of %d banded rows outside 3 sigma (%d moment, %d rate), worst |z| %.3g",
+        spec.scenario,
+        len(outside),
+        len(banded),
+        outside.count("moment"),
+        outside.count("rate"),
+        max((abs(row[8]) for row in banded), default=0.0),
+    )
+    return written
 
 
 def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:

@@ -35,8 +35,12 @@ __all__ = [
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to linear scale: 10^(x/10)."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert a dB value to linear scale: 10^(x/10); ValueError where
+    that overflows a float."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError("%r dB is too large for a linear float" % x_db) from None
 
 
 def linear_to_db(x: float) -> float:

@@ -3,11 +3,16 @@ pilot reception, MMSE estimation of the effective cluster channels, MRT
 precoding, null-space artificial-noise injection and downlink reception.
 
 Provides empirical oracles for every closed-form average in
-:mod:`noma_secrecy.rates`. Determinism contract: suite-level operations
-take an integer seed and derive one independent RNG substream per trial
-index; per-trial results are stored and reduced in a fixed order, so a
-given (seed, n_trials) pair is bit-stable regardless of how trials are
-scheduled.
+:mod:`noma_secrecy.rates`. :func:`simulate_trials` is the one loop that
+estimates, precodes and injects AN: it keeps per-trial inner-product
+tables, which :func:`reduce_moments` and :func:`reduce_rates` reduce, so
+one simulation can feed both the moment rows and the rate rows
+(:func:`error_decomposition_check` only estimates, in its own loop).
+Determinism contract: the engine takes an integer seed and derives one
+independent RNG substream per trial index; per-trial results are stored
+and reduced in a fixed order, so a given (seed, n_trials) pair is
+bit-stable regardless of how trials are scheduled, and every oracle
+called with the same pair sees the same trials.
 
 Distributions: small-scale fading vectors h_{m,k} and the eavesdropper
 vector g have i.i.d. unit-variance complex-normal entries. Pilot noise
@@ -19,6 +24,7 @@ orthonormal.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,10 @@ __all__ = [
     "error_decomposition_check",
     "moment_suite",
     "ergodic_rate_oracle",
+    "TrialTables",
+    "simulate_trials",
+    "reduce_moments",
+    "reduce_rates",
 ]
 
 
@@ -49,9 +59,11 @@ def _cn(rng: np.random.Generator, *shape) -> np.ndarray:
     )
 
 
-def _trial_streams(seed: int, n_trials: int) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(n_trials)]
+def _trial_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
+    """The generators of SeedSequence(seed).spawn(n_trials), made one at a
+    time: a list of 2000 of them holds about 6 MB."""
+    for i in range(n_trials):
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 @dataclass(frozen=True)
@@ -177,63 +189,90 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), se
 
 
-def _dot_tables(cfg, realization, est):
-    """|h^H w_j|, |h^H z_j| style inner products for every user/cluster."""
-    w_mat = np.stack(est.w)
-    z_mat = np.stack(est.z)
-    h_mat = np.concatenate([realization.h[m] for m in range(cfg.n_clusters)])
-    dots_w = h_mat.conj() @ w_mat.T  # (n_users, M): h_{m,k}^H w_j
-    dots_z = h_mat.conj() @ z_mat.T
-    g_w = w_mat @ realization.g.conj()  # g^H w_j
-    g_z = z_mat @ realization.g.conj()
-    return dots_w, dots_z, g_w, g_z
+@dataclass(frozen=True)
+class TrialTables:
+    """Per-trial inner products of one simulation, trial index first.
+
+    own: (T, U) complex h_{m,k}^H w_m; beam, an: (T, U, M) |h_{m,k}^H w_j|^2
+    and |h_{m,k}^H z_j|^2; eave_beam, eave_an: (T, M) |g^H w_j|^2 and
+    |g^H z_j|^2; estimate_norm: (T, M) ||h_hat_m||. Users are in the flat
+    layout order of the configuration.
+    """
+
+    own: np.ndarray
+    beam: np.ndarray
+    an: np.ndarray
+    eave_beam: np.ndarray
+    eave_an: np.ndarray
+    estimate_norm: np.ndarray
+
+
+def simulate_trials(cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int) -> TrialTables:
+    """Run the pipeline once per trial and keep only its inner products,
+    which :func:`reduce_moments` and :func:`reduce_rates` reduce."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    n_users, m_tot = cfg.total_users, cfg.n_clusters
+    own_idx = (np.arange(n_users), cfg.cluster_of)
+    tables = TrialTables(
+        own=np.empty((n_trials, n_users), dtype=complex),
+        beam=np.empty((n_trials, n_users, m_tot)),
+        an=np.empty((n_trials, n_users, m_tot)),
+        eave_beam=np.empty((n_trials, m_tot)),
+        eave_an=np.empty((n_trials, m_tot)),
+        estimate_norm=np.empty((n_trials, m_tot)),
+    )
+    for t, rng in enumerate(_trial_streams(seed, n_trials)):
+        real = draw_realization(cfg, rng)
+        est = build_estimates(cfg, p, real, rng)
+        w_mat, z_mat = np.stack(est.w), np.stack(est.z)
+        h_conj = np.concatenate(real.h).conj()
+        dots_w = h_conj @ w_mat.T  # h_{m,k}^H w_j
+        tables.own[t] = dots_w[own_idx]
+        tables.beam[t] = np.abs(dots_w) ** 2
+        tables.an[t] = np.abs(h_conj @ z_mat.T) ** 2
+        tables.eave_beam[t] = np.abs(w_mat @ real.g.conj()) ** 2
+        tables.eave_an[t] = np.abs(z_mat @ real.g.conj()) ** 2
+        tables.estimate_norm[t] = [np.linalg.norm(hh) for hh in est.h_hat]
+    return tables
 
 
 def moment_suite(
-    cfg: SystemConfig,
-    p: UplinkPower,
-    q: DownlinkPower,
-    n_trials: int,
-    seed: int,
+    cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, n_trials: int, seed: int
 ) -> list[MomentStat]:
-    """Empirical counterparts of every moment entering the closed forms.
+    """Empirical counterparts of every moment entering the closed forms:
+    :func:`reduce_moments` over :func:`simulate_trials`."""
+    return reduce_moments(cfg, p, q, simulate_trials(cfg, p, n_trials, seed))
+
+
+def reduce_moments(
+    cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, tables: TrialTables
+) -> list[MomentStat]:
+    """Moment rows of one simulation.
 
     Each row pairs a sample mean with its prediction and the sample
     standard error; mean-alignment and kappa rows are predicted with the
     exact chi-mean (not the large-N_t approximation), since at moderate
     antenna counts the 1e4-trial estimator can resolve the difference.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     rho = compute_rho(cfg, p)
     nt = cfg.n_antennas
-    n_users = cfg.total_users
     m_tot = cfg.n_clusters
     cmean = chi_mean(nt)
-
-    own_dot = np.empty((n_trials, n_users), dtype=complex)
-    cross_w = np.empty((n_trials, n_users, m_tot))
-    cross_z = np.empty((n_trials, n_users, m_tot))
-    gain_g_w = np.empty((n_trials, m_tot))
-    gain_g_z = np.empty((n_trials, m_tot))
-    est_norm = np.empty((n_trials, m_tot))
-
-    for t, rng in enumerate(_trial_streams(seed, n_trials)):
-        real = draw_realization(cfg, rng)
-        est = build_estimates(cfg, p, real, rng)
-        dots_w, dots_z, g_w, g_z = _dot_tables(cfg, real, est)
-        own_dot[t] = dots_w[np.arange(n_users), cfg.cluster_of]
-        cross_w[t] = np.abs(dots_w) ** 2
-        cross_z[t] = np.abs(dots_z) ** 2
-        gain_g_w[t] = np.abs(g_w) ** 2
-        gain_g_z[t] = np.abs(g_z) ** 2
-        est_norm[t] = [np.linalg.norm(hh) for hh in est.h_hat]
-
+    cross_w, cross_z = tables.beam, tables.an
     stats: list[MomentStat] = []
-    u = 0
+
+    def add(name, m, k, samples, predicted):
+        mean, se = _mean_se(samples)
+        stats.append(MomentStat(name, m, k, mean, predicted, se))
+        return mean, se
+
     beta_e = cfg.eav_gain
+    # Row sums, not np.add.reduceat: the two add 8-user clusters in
+    # different orders, and these bytes reach the validate output.
     q_user_sum = np.array([float(q.users(m).sum()) for m in range(m_tot)])
-    q_an = np.array([q.an(m) for m in range(m_tot)])
+    q_an = q.flat()[cfg.slot_offsets]
+    u = 0
     for m in range(m_tot):
         betas = cfg.beta(m)
         row = q.q[m]
@@ -241,32 +280,21 @@ def moment_suite(
             r = float(rho.rho[m][k])
             beta = float(betas[k])
             qk = float(row[1 + k])
-            re_mean, re_se = _mean_se(own_dot[:, u].real)
-            im_mean, im_se = _mean_se(own_dot[:, u].imag)
-            stats.append(
-                MomentStat("mean_alignment_re", m, k, re_mean, math.sqrt(r) * cmean, re_se)
-            )
-            stats.append(MomentStat("mean_alignment_im", m, k, im_mean, 0.0, im_se))
-
-            beam_pow = np.abs(own_dot[:, u]) ** 2
-            bp_mean, bp_se = _mean_se(beam_pow)
-            stats.append(
-                MomentStat("own_beam_power", m, k, bp_mean, r * nt + 1.0 - r, bp_se)
-            )
-            an_mean, an_se = _mean_se(cross_z[:, u, m])
-            stats.append(MomentStat("an_leakage", m, k, an_mean, 1.0 - r, an_se))
+            own = tables.own[:, u]
+            _, re_se = add("mean_alignment_re", m, k, own.real, math.sqrt(r) * cmean)
+            _, im_se = add("mean_alignment_im", m, k, own.imag, 0.0)
+            beam_pow = np.abs(own) ** 2
+            bp_mean, bp_se = add("own_beam_power", m, k, beam_pow, r * nt + 1.0 - r)
+            add("an_leakage", m, k, cross_z[:, u, m], 1.0 - r)
             for j in range(m_tot):
-                if j == m:
-                    continue
-                cw_mean, cw_se = _mean_se(cross_w[:, u, j])
-                stats.append(MomentStat("cross_beam_power", m, k, cw_mean, 1.0, cw_se))
-                cz_mean, cz_se = _mean_se(cross_z[:, u, j])
-                stats.append(MomentStat("cross_an_power", m, k, cz_mean, 1.0, cz_se))
+                if j != m:
+                    add("cross_beam_power", m, k, cross_w[:, u, j], 1.0)
+                    add("cross_an_power", m, k, cross_z[:, u, j], 1.0)
 
             # Assembled signal/interference terms. kappa and the leakage
             # term derive from the complex mean, so their standard errors
             # are propagated (conservatively, for the leakage term).
-            mean_c = complex(own_dot[:, u].mean())
+            mean_c = complex(own.mean())
             kappa_emp = qk * beta * abs(mean_c) ** 2
             kappa_se = qk * beta * 2.0 * abs(mean_c) * math.hypot(re_se, im_se)
             stats.append(
@@ -278,14 +306,11 @@ def moment_suite(
             stats.append(MomentStat("im1", m, k, leak_emp, leak_pred, leak_se))
 
             stronger = float(row[1 : 1 + k].sum())
-            im2_samples = beta * (
-                stronger * beam_pow + float(row[0]) * cross_z[:, u, m]
-            )
-            im2_mean, im2_se = _mean_se(im2_samples)
+            im2_samples = beta * (stronger * beam_pow + float(row[0]) * cross_z[:, u, m])
             im2_pred = beta * (stronger * (r * nt + 1.0 - r) + float(row[0]) * (1.0 - r))
-            stats.append(MomentStat("im2", m, k, im2_mean, im2_pred, im2_se))
+            add("im2", m, k, im2_samples, im2_pred)
 
-            inter_samples = np.zeros(n_trials)
+            inter_samples = np.zeros(own.size)
             inter_pred = 0.0
             for j in range(m_tot):
                 if j == m:
@@ -294,43 +319,23 @@ def moment_suite(
                     q_user_sum[j] * cross_w[:, u, j] + q_an[j] * cross_z[:, u, j]
                 )
                 inter_pred += beta * (q_user_sum[j] + q_an[j])
-            im3_mean, im3_se = _mean_se(inter_samples)
-            stats.append(MomentStat("im3", m, k, im3_mean, inter_pred, im3_se))
+            add("im3", m, k, inter_samples, inter_pred)
             u += 1
 
-        gw_mean, gw_se = _mean_se(gain_g_w[:, m])
-        stats.append(MomentStat("eave_beam_power", m, None, gw_mean, 1.0, gw_se))
-        gz_mean, gz_se = _mean_se(gain_g_z[:, m])
-        stats.append(MomentStat("eave_an_power", m, None, gz_mean, 1.0, gz_se))
-        norm_mean, norm_se = _mean_se(est_norm[:, m])
-        rho_total = float(rho.rho[m].sum())
-        stats.append(
-            MomentStat(
-                "estimate_norm",
-                m,
-                None,
-                norm_mean,
-                math.sqrt(rho_total) * cmean,
-                norm_se,
-            )
-        )
+        add("eave_beam_power", m, None, tables.eave_beam[:, m], 1.0)
+        add("eave_an_power", m, None, tables.eave_an[:, m], 1.0)
+        norm_pred = math.sqrt(float(rho.rho[m].sum())) * cmean
+        add("estimate_norm", m, None, tables.estimate_norm[:, m], norm_pred)
         if beta_e > 0.0:
             # Eavesdropper-side signal terms, one per user.
             for k in range(cfg.users_per_cluster[m]):
                 qk = float(row[1 + k])
-                samples = beta_e * qk * gain_g_w[:, m]
-                e_mean, e_se = _mean_se(samples)
-                stats.append(
-                    MomentStat("eave_kappa", m, k, e_mean, beta_e * qk, e_se)
-                )
+                add("eave_kappa", m, k, beta_e * qk * tables.eave_beam[:, m], beta_e * qk)
     return stats
 
 
 def error_decomposition_check(
-    cfg: SystemConfig,
-    p: UplinkPower,
-    n_trials: int,
-    seed: int,
+    cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int
 ) -> list[MomentStat]:
     """Consistency of the realized estimates with the error split
     h = sqrt(rho) h_hat + sqrt(1 - rho) eps.
@@ -341,28 +346,25 @@ def error_decomposition_check(
     """
     rho = compute_rho(cfg, p)
     nt = cfg.n_antennas
-    n_users = cfg.total_users
-    corr = np.empty((n_trials, n_users), dtype=complex)
-    eps_corr = np.empty((n_trials, n_users), dtype=complex)
+    cluster_of = cfg.cluster_of
+    corr = np.empty((n_trials, cfg.total_users), dtype=complex)
+    norm_sq = np.empty((n_trials, cfg.n_clusters))
 
     rho_tot = [float(rho.rho[m].sum()) for m in range(cfg.n_clusters)]
     for t, rng in enumerate(_trial_streams(seed, n_trials)):
         real = draw_realization(cfg, rng)
-        est = mmse_estimate(cfg, p, real, rng)
-        u = 0
-        for m in range(cfg.n_clusters):
-            h_hat = est.h_hat[m]
-            for k in range(cfg.users_per_cluster[m]):
-                h = real.h[m][k]
-                corr[t, u] = np.vdot(h_hat, h)
-                r = float(rho.rho[m][k])
-                if rho_tot[m] > 0.0 and r < 1.0:
-                    h_unit = h_hat / math.sqrt(rho_tot[m])
-                    eps = (h - math.sqrt(r) * h_unit) / math.sqrt(1.0 - r)
-                    eps_corr[t, u] = np.vdot(h_unit, eps)
-                else:
-                    eps_corr[t, u] = 0.0
-                u += 1
+        h_hat = np.stack(mmse_estimate(cfg, p, real, rng).h_hat)
+        corr[t] = np.vecdot(h_hat[cluster_of], np.concatenate(real.h))
+        norm_sq[t] = np.vecdot(h_hat, h_hat).real
+
+    # With h_unit = h_hat / sqrt(rho_tot) and eps = (h - sqrt(r) h_unit) /
+    # sqrt(1 - r): <h_unit, eps> = (<h_hat, h> / sqrt(rho_tot) - sqrt(r)
+    # ||h_hat||^2 / rho_tot) / sqrt(1 - r); zero where eps is undefined.
+    r_u = np.concatenate(rho.rho)
+    tot_u = np.asarray(rho_tot)[cluster_of]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = corr / np.sqrt(tot_u) - np.sqrt(r_u) * norm_sq[:, cluster_of] / tot_u
+        eps_corr = np.where((tot_u > 0.0) & (r_u < 1.0), along / np.sqrt(1.0 - r_u), 0.0)
 
     stats: list[MomentStat] = []
     u = 0
@@ -390,24 +392,18 @@ class OracleReport:
 
 
 def ergodic_rate_oracle(
-    cfg: SystemConfig,
-    p: UplinkPower,
-    q: DownlinkPower,
-    n_trials: int,
-    seed: int,
+    cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, n_trials: int, seed: int
 ) -> OracleReport:
-    """Monte Carlo estimate of the per-user ergodic rates.
+    """Monte Carlo estimate of the per-user ergodic rates:
+    :func:`reduce_rates` over :func:`simulate_trials`."""
+    return reduce_rates(cfg, q, simulate_trials(cfg, p, n_trials, seed))
 
-    Per trial, instantaneous SINRs are formed from the realized inner
-    products under genie-aided coherent detection (users know their
-    effective gains) with perfect intra-cluster cancellation of weaker
-    users; the eavesdropper cancels nothing. log2(1 + SINR) is averaged
-    over trials, scaled by the pilot-overhead prefactor, and the secrecy
-    clamp is applied to the averaged rates.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    n_users = cfg.total_users
+
+def _rate_samples(
+    cfg: SystemConfig, q: DownlinkPower, tables: TrialTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial log2(1 + SINR) of every user and of the eavesdropper
+    against every user, each (T, U)."""
     beta_e = cfg.eav_gain
     cluster_of = cfg.cluster_of
     beta_u = cfg.flat_betas
@@ -416,33 +412,36 @@ def ergodic_rate_oracle(
     q_an = q_flat[cfg.slot_offsets]
     q_user_sum = np.add.reduceat(q_own, cfg.user_offsets)
     stronger_q = cfg.stronger_sums(q_own)
-    idx = np.arange(n_users)
+    own_w = tables.beam[:, np.arange(cfg.total_users), cluster_of]
 
-    legit_t = np.empty((n_trials, n_users))
-    eaves_t = np.empty((n_trials, n_users))
-    for t, rng in enumerate(_trial_streams(seed, n_trials)):
-        real = draw_realization(cfg, rng)
-        est = build_estimates(cfg, p, real, rng)
-        dots_w, dots_z, g_w, g_z = _dot_tables(cfg, real, est)
-        pw = np.abs(dots_w) ** 2
-        pz = np.abs(dots_z) ** 2
-        own_w = pw[idx, cluster_of]
+    # Legitimate side: everything received minus the cancelled part of
+    # the own cluster (own signal and weaker users).
+    received = tables.beam @ q_user_sum + tables.an @ q_an
+    den = beta_u * (received - own_w * (q_user_sum[cluster_of] - stronger_q)) + 1.0
+    num = beta_u * q_own * own_w
+    legit_t = np.log2(1.0 + num / den)
 
-        # Legitimate side: everything received minus the cancelled part
-        # of the own cluster (own signal and weaker users).
-        received = pw @ q_user_sum + pz @ q_an
-        den = beta_u * (received - own_w * (q_user_sum[cluster_of] - stronger_q)) + 1.0
-        num = beta_u * q_own * own_w
-        legit_t[t] = np.log2(1.0 + num / den)
+    # np.vecdot, not a matrix-vector product: it adds in the order of the
+    # one-trial dot product, so the rates keep their bytes.
+    e_received = np.vecdot(tables.eave_beam, q_user_sum) + np.vecdot(tables.eave_an, q_an)
+    e_own = tables.eave_beam[:, cluster_of]
+    e_num = beta_e * q_own * e_own
+    e_den = beta_e * (e_received[:, None] - q_own * e_own) + 1.0
+    return legit_t, np.log2(1.0 + e_num / e_den)
 
-        gw2 = np.abs(g_w) ** 2
-        gz2 = np.abs(g_z) ** 2
-        e_received = float(gw2 @ q_user_sum + gz2 @ q_an)
-        e_own = gw2[cluster_of]
-        e_num = beta_e * q_own * e_own
-        e_den = beta_e * (e_received - q_own * e_own) + 1.0
-        eaves_t[t] = np.log2(1.0 + e_num / e_den)
 
+def reduce_rates(cfg: SystemConfig, q: DownlinkPower, tables: TrialTables) -> OracleReport:
+    """Ergodic rates of one simulation.
+
+    Per trial, instantaneous SINRs are formed from the realized inner
+    products under genie-aided coherent detection (users know their
+    effective gains) with perfect intra-cluster cancellation of weaker
+    users; the eavesdropper cancels nothing. log2(1 + SINR) is averaged
+    over trials, scaled by the pilot-overhead prefactor, and the secrecy
+    clamp is applied to the averaged rates.
+    """
+    legit_t, eaves_t = _rate_samples(cfg, q, tables)
+    n_trials = legit_t.shape[0]
     scale = cfg.overhead
     legit_mean = scale * legit_t.mean(axis=0)
     eaves_mean = scale * eaves_t.mean(axis=0)
@@ -450,8 +449,8 @@ def ergodic_rate_oracle(
         legit_se = scale * legit_t.std(axis=0, ddof=1) / math.sqrt(n_trials)
         eaves_se = scale * eaves_t.std(axis=0, ddof=1) / math.sqrt(n_trials)
     else:
-        legit_se = np.full(n_users, math.nan)
-        eaves_se = np.full(n_users, math.nan)
+        legit_se = np.full(cfg.total_users, math.nan)
+        eaves_se = np.full(cfg.total_users, math.nan)
 
     secrecy = np.maximum(legit_mean - eaves_mean, 0.0)
     report = RateReport(

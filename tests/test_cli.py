@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from noma_secrecy import montecarlo
 from noma_secrecy.cli import main
-from noma_secrecy.experiments import build_config, load_spec
+from noma_secrecy.experiments import build_config, load_spec, run_validate
 
 
 def write_spec(path, **overrides):
@@ -147,6 +149,36 @@ class TestValidateCommand:
         assert main(["validate", "--spec", str(spec_path), "--out", str(out)]) == 0
         rates = [r for r in read_rows(out) if r["kind"] == "rate"]
         assert rates and all(r["degenerate"] == "true" for r in rates)
+
+    def test_simulates_each_trial_once(self, tmp_path, monkeypatch):
+        spec = load_spec(str(write_spec(tmp_path / "spec.json", trials=25)))
+        draw = montecarlo.draw_realization
+        calls = []
+
+        def counting_draw(*args, **kwargs):
+            calls.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "draw_realization", counting_draw)
+        run_validate(spec, str(tmp_path / "val.csv"))
+        assert len(calls) == spec.trials
+
+    @pytest.mark.parametrize("trials", [1, 200])
+    def test_band_summary_is_logged_not_printed(self, tmp_path, capsys, caplog, trials):
+        spec_path = write_spec(tmp_path / "spec.json", trials=trials)
+        out = tmp_path / "val.csv"
+        with caplog.at_level(logging.INFO, logger="noma_secrecy"):
+            assert main(["validate", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.split() == [str(out)]
+
+        z = [abs(float(r["z_score"])) for r in read_rows(out) if r["degenerate"] == "false"]
+        outside = sum(v > 3.0 for v in z)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("validate ")]
+        assert record.name == "noma_secrecy"
+        assert record.levelno == (logging.WARNING if outside else logging.INFO)
+        message = record.getMessage()
+        assert "%d of %d banded rows outside 3 sigma" % (outside, len(z)) in message
+        assert float(message.rsplit(" ", 1)[1]) == pytest.approx(max(z, default=0.0), rel=5e-3)
 
 
 class TestOptimizeCommand:
@@ -356,6 +388,8 @@ class TestRejectsBadSpecs:
         "unknown-powers-key": {"powers": {"q_max": 3.0}},
         "unknown-allocation-key": {"allocation": {"an_frac": 0.1}},
         "unknown-sweep-key": {"sweep": {"axis": "n_antennas", "value": [8]}},
+        "huge-q-max": {"powers": {"q_max_db": 4000}},
+        "huge-q-max-sweep-value": {"sweep": {"axis": "q_max_db", "values": [0.0, 4000]}},
     }
 
     @pytest.mark.parametrize("name", sorted(BAD))

@@ -2,19 +2,30 @@
 cluster sizes unequal whenever there is more than one cluster, since the
 flat per-user layout's segment offsets are what such layouts exercise."""
 
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_validate
 from noma_secrecy.model import (
     ClusterConfig,
     DownlinkPower,
     SystemConfig,
     UplinkPower,
     compute_rho,
+    db_to_linear,
+)
+from noma_secrecy.montecarlo import (
+    _rate_samples,
+    ergodic_rate_oracle,
+    moment_suite,
+    simulate_trials,
 )
 from noma_secrecy.optimize import (
     LogAffine,
@@ -22,6 +33,7 @@ from noma_secrecy.optimize import (
     _downlink_parts,
     _uplink_coeffs,
     _uplink_parts,
+    baseline_fixed,
     downlink_dc_step,
     smooth_secrecy_sum,
     uplink_dc_step,
@@ -37,6 +49,7 @@ from noma_secrecy.rates import (
 )
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+MONTE_CARLO = settings(max_examples=15, deadline=None, derandomize=True)
 GRADIENT_RTOL = 1e-5  # the acceptance suite's finite-difference bound
 
 ragged_sizes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
@@ -184,3 +197,92 @@ def test_log_affine_rejects_non_positive_arguments():
     for x in ([1.0, 1.0], [1.0, 2.0]):
         with pytest.raises(FloatingPointError):
             form.evaluate(np.array(x))
+
+
+def transcribed_trial_rates(cfg, q, beam, an, eave_beam, eave_an):
+    """The former ergodic-oracle loop body: one trial's legitimate and
+    eavesdropper log2(1 + SINR) from that trial's tables."""
+    cluster_of = cfg.cluster_of
+    q_flat = q.flat()
+    q_own = q_flat[cfg.user_slots]
+    q_an = q_flat[cfg.slot_offsets]
+    q_user_sum = np.add.reduceat(q_own, cfg.user_offsets)
+    own_w = beam[np.arange(cfg.total_users), cluster_of]
+    received = beam @ q_user_sum + an @ q_an
+    den = cfg.flat_betas * (
+        received - own_w * (q_user_sum[cluster_of] - cfg.stronger_sums(q_own))
+    ) + 1.0
+    legit = np.log2(1.0 + cfg.flat_betas * q_own * own_w / den)
+    e_received = float(eave_beam @ q_user_sum + eave_an @ q_an)
+    e_own = eave_beam[cluster_of]
+    e_num = cfg.eav_gain * q_own * e_own
+    e_den = cfg.eav_gain * (e_received - q_own * e_own) + 1.0
+    return legit, np.log2(1.0 + e_num / e_den)
+
+
+@MONTE_CARLO
+@given(instances(), st.integers(1, 20), st.integers(0, 2**16))
+def test_batched_rate_reduction_matches_per_trial_loop(instance, n_trials, seed):
+    cfg, p, q, _ = instance
+    tables = simulate_trials(cfg, p, n_trials, seed)
+    assert tables.beam.shape == (n_trials, cfg.total_users, cfg.n_clusters)
+    legit, eaves = _rate_samples(cfg, q, tables)
+    for t in range(n_trials):
+        expected = transcribed_trial_rates(
+            cfg, q, tables.beam[t], tables.an[t], tables.eave_beam[t], tables.eave_an[t]
+        )
+        assert np.array_equal(legit[t], expected[0])
+        assert np.array_equal(eaves[t], expected[1])
+
+
+@MONTE_CARLO
+@given(instances(), st.integers(1, 20), st.sampled_from([-5.0, 0.0, 10.0]))
+def test_validate_rows_equal_standalone_oracles(instance, n_trials, q_max_db):
+    cfg, _, _, _ = instance
+    spec = ExperimentSpec(
+        scenario="property",
+        n_antennas=cfg.n_antennas,
+        coherence_len=cfg.coherence_len,
+        eav_gain=cfg.eav_gain,
+        pilot_len=None,
+        clusters=tuple(tuple(c.betas) for c in cfg.clusters),
+        n_clusters=None,
+        users_per_cluster=None,
+        total_users=None,
+        p_max_db=0.0,
+        q_max_db=q_max_db,
+        circuit_power_db=None,
+        an_fraction=0.2,
+        sweep_axis=None,
+        sweep_values=(),
+        trials=n_trials,
+        seed=n_trials + 7,
+        output=None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = run_validate(spec, os.path.join(tmp, "validate.csv"))[0]
+        with open(out, newline="") as fh:
+            rows = [
+                (r["kind"], r["name"], r["cluster"], r["user"], r["empirical"], r["stderr"])
+                for r in csv.DictReader(fh)
+            ]
+
+    cfg = build_config(spec)
+    p, q = baseline_fixed(cfg, db_to_linear(0.0), db_to_linear(q_max_db), 0.2)
+    expected = [
+        ("moment", s.name, _fmt(s.cluster + 1), _fmt(None if s.user is None else s.user + 1))
+        + (_fmt(s.empirical), _fmt(s.stderr))
+        for s in moment_suite(cfg, p, q, n_trials, spec.seed)
+    ]
+    oracle = ergodic_rate_oracle(cfg, p, q, n_trials, spec.seed)
+    for m in range(cfg.n_clusters):
+        for k in range(cfg.users_per_cluster[m]):
+            legit_se, eaves_se = oracle.legit_se[m][k], oracle.eaves_se[m][k]
+            for name, se in (
+                ("legit", legit_se),
+                ("eaves", eaves_se),
+                ("secrecy", math.hypot(legit_se, eaves_se)),
+            ):
+                value = getattr(oracle.report, name)[m][k]
+                expected.append(("rate", name, _fmt(m + 1), _fmt(k + 1), _fmt(value), _fmt(se)))
+    assert rows == expected
