@@ -233,8 +233,9 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 def _beta_pool(spec: ExperimentSpec, count: int) -> np.ndarray:
-    """Seed-controlled large-scale gains, uniform on (0, 100)."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
+    """Seed-controlled large-scale gains, uniform on (0, 100), from the
+    seed's root stream: Monte Carlo trial i uses its child i."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     return rng.uniform(0.0, 100.0, count)
 
 

@@ -3,11 +3,10 @@ pilot reception, MMSE estimation of the effective cluster channels, MRT
 precoding, null-space artificial-noise injection and downlink reception.
 
 Provides empirical oracles for every closed-form average in
-:mod:`noma_secrecy.rates`. :func:`simulate_trials` is the one loop that
-estimates, precodes and injects AN: it keeps per-trial inner-product
-tables, which :func:`reduce_moments` and :func:`reduce_rates` reduce, so
-one simulation can feed both the moment rows and the rate rows
-(:func:`error_decomposition_check` only estimates, in its own loop).
+:mod:`noma_secrecy.rates`, all on one trial loop. :func:`simulate_trials`
+keeps per-trial inner-product tables for :func:`reduce_moments` and
+:func:`reduce_rates`. Each step of a trial makes at most one standard_normal
+call and works on stacked arrays: users in the flat layout, one row per cluster.
 Determinism contract: the engine takes an integer seed and derives one
 independent RNG substream per trial index; per-trial results are stored
 and reduced in a fixed order, so a given (seed, n_trials) pair is
@@ -52,11 +51,20 @@ __all__ = [
 ]
 
 
-def _cn(rng: np.random.Generator, *shape) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex normal draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(
-        2.0
-    )
+def _cn_rows(rng: np.random.Generator, counts, n: int) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex normal rows of length n in
+    blocks of counts[b] rows, from one standard_normal call: block by
+    block, each block's real parts first, then its imaginary parts."""
+    counts = np.array(counts)
+    sizes = counts.repeat(counts)
+    re_row = np.arange(sizes.size) + (counts.cumsum() - counts).repeat(counts)
+    raw = rng.standard_normal((2 * sizes.size, n))
+    return (raw[re_row] + 1j * raw[re_row + sizes]) / math.sqrt(2.0)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms, added as np.linalg.norm adds one vector (axis=1 does not)."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def _trial_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
@@ -79,18 +87,17 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """Per-cluster channel estimates, unit-norm precoders, and unit-norm
-    AN directions orthogonal to the estimates."""
+    """Channel estimates, unit-norm precoders and unit-norm AN directions
+    orthogonal to the estimates, one (M, N_t) row per cluster."""
 
-    h_hat: tuple[np.ndarray, ...]
-    w: tuple[np.ndarray, ...] | None = None
-    z: tuple[np.ndarray, ...] | None = None
+    h_hat: np.ndarray
+    w: np.ndarray | None = None
+    z: np.ndarray | None = None
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    h = tuple(_cn(rng, k, cfg.n_antennas) for k in cfg.users_per_cluster)
-    g = _cn(rng, cfg.n_antennas)
-    return ChannelRealization(h=h, g=g)
+    rows = _cn_rows(rng, cfg.users_per_cluster + (1,), cfg.n_antennas)
+    return ChannelRealization(h=cfg.split_users(rows[:-1]), g=rows[-1])
 
 
 def mmse_estimate(
@@ -105,28 +112,24 @@ def mmse_estimate(
     with unit-variance pilot noise n; the estimate scales it by
     sqrt(S_m) / (1 + S_m) where S_m = sum_k P beta tau.
     """
-    tau = cfg.pilot_len
-    h_hat = []
-    for m in range(cfg.n_clusters):
-        energy = p.p[m] * cfg.beta(m) * tau
-        noise = _cn(rng, cfg.n_antennas)
-        y = (np.sqrt(energy)[:, None] * realization.h[m]).sum(axis=0) + noise
-        total = energy.sum()
-        h_hat.append(math.sqrt(total) / (1.0 + total) * y)
-    return EstimateSet(h_hat=tuple(h_hat))
+    y = _cn_rows(rng, (1,) * cfg.n_clusters, cfg.n_antennas)  # pilot noise
+    total = np.empty(cfg.n_clusters)
+    # Cluster by cluster: np.add.reduceat sums clusters of three or more
+    # users in another order, and these bytes reach the validate output.
+    for m, h in enumerate(realization.h):
+        energy = p.p[m] * cfg.beta(m) * cfg.pilot_len
+        y[m] += (np.sqrt(energy)[:, None] * h).sum(axis=0)
+        total[m] = energy.sum()
+    return EstimateSet(h_hat=(np.sqrt(total) / (1.0 + total))[:, None] * y)
 
 
 def mrt_precoder(estimates: EstimateSet) -> EstimateSet:
     """Match each beam to its estimated cluster channel (unit norm)."""
-    w = []
-    for m, h_hat in enumerate(estimates.h_hat):
-        norm = np.linalg.norm(h_hat)
-        if norm == 0.0:
-            raise ValueError(
-                "cluster %d estimate is the zero vector (no pilot power?)" % m
-            )
-        w.append(h_hat / norm)
-    return EstimateSet(h_hat=estimates.h_hat, w=tuple(w), z=estimates.z)
+    h_hat = np.asarray(estimates.h_hat)
+    norm = _row_norms(h_hat)
+    if not norm.all():
+        raise ValueError("cluster %d estimate is the zero vector (no pilot power?)" % norm.argmin())
+    return EstimateSet(h_hat=h_hat, w=h_hat / norm[:, None], z=estimates.z)
 
 
 def an_vector(estimates: EstimateSet, rng: np.random.Generator) -> EstimateSet:
@@ -134,23 +137,25 @@ def an_vector(estimates: EstimateSet, rng: np.random.Generator) -> EstimateSet:
 
     Draws a complex Gaussian vector and projects out the estimate
     direction; O(N_t) and matches the isotropic null-space assumption
-    behind the closed-form AN-leakage average.
+    behind the closed-form AN-leakage average. A draw that projects to
+    (nearly) zero is drawn again, for its cluster only.
     """
-    z = []
-    for m, h_hat in enumerate(estimates.h_hat):
-        n = h_hat.size
-        if n < 2:
-            raise ValueError("AN needs at least 2 antennas (null space is empty)")
-        norm_sq = float(np.vdot(h_hat, h_hat).real)
-        while True:
-            v = _cn(rng, n)
-            if norm_sq > 0.0:
-                v = v - h_hat * (np.vdot(h_hat, v) / norm_sq)
-            vnorm = np.linalg.norm(v)
-            if vnorm > 1e-9:
-                break
-        z.append(v / vnorm)
-    return EstimateSet(h_hat=estimates.h_hat, w=estimates.w, z=tuple(z))
+    h_hat = np.asarray(estimates.h_hat)
+    if h_hat.shape[1] < 2:
+        raise ValueError("AN needs at least 2 antennas (null space is empty)")
+    norm_sq = np.vecdot(h_hat, h_hat).real
+    norm_sq[norm_sq == 0.0] = np.inf  # a zero estimate has nothing to project out
+    z = np.empty_like(h_hat)
+    todo = np.arange(h_hat.shape[0])
+    while todo.size:
+        hh = h_hat[todo]
+        v = _cn_rows(rng, (1,) * todo.size, h_hat.shape[1])
+        v -= hh * (np.vecdot(hh, v) / norm_sq[todo])[:, None]
+        vnorm = _row_norms(v)
+        ok = vnorm > 1e-9
+        z[todo[ok]] = v[ok] / vnorm[ok, None]
+        todo = todo[~ok]
+    return EstimateSet(h_hat=h_hat, w=estimates.w, z=z)
 
 
 def build_estimates(
@@ -163,6 +168,20 @@ def build_estimates(
     est = mmse_estimate(cfg, p, realization, rng)
     est = mrt_precoder(est)
     return an_vector(est, rng)
+
+
+def _trial_loop(cfg: SystemConfig, n_trials: int, seed: int, trial) -> list[np.ndarray]:
+    """The one trial loop: trial(realization, rng) on each trial's own
+    substream, its rows stacked across trials, trial index first."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    for t, rng in enumerate(_trial_streams(seed, n_trials)):
+        rows = trial(draw_realization(cfg, rng), rng)
+        if t == 0:
+            tables = [np.empty((n_trials,) + np.shape(r), np.result_type(r)) for r in rows]
+        for table, row in zip(tables, rows):
+            table[t] = row
+    return tables
 
 
 @dataclass(frozen=True)
@@ -210,31 +229,22 @@ class TrialTables:
 def simulate_trials(cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int) -> TrialTables:
     """Run the pipeline once per trial and keep only its inner products,
     which :func:`reduce_moments` and :func:`reduce_rates` reduce."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    n_users, m_tot = cfg.total_users, cfg.n_clusters
-    own_idx = (np.arange(n_users), cfg.cluster_of)
-    tables = TrialTables(
-        own=np.empty((n_trials, n_users), dtype=complex),
-        beam=np.empty((n_trials, n_users, m_tot)),
-        an=np.empty((n_trials, n_users, m_tot)),
-        eave_beam=np.empty((n_trials, m_tot)),
-        eave_an=np.empty((n_trials, m_tot)),
-        estimate_norm=np.empty((n_trials, m_tot)),
-    )
-    for t, rng in enumerate(_trial_streams(seed, n_trials)):
-        real = draw_realization(cfg, rng)
+    own_idx = (np.arange(cfg.total_users), cfg.cluster_of)
+
+    def trial(real, rng):
         est = build_estimates(cfg, p, real, rng)
-        w_mat, z_mat = np.stack(est.w), np.stack(est.z)
-        h_conj = np.concatenate(real.h).conj()
-        dots_w = h_conj @ w_mat.T  # h_{m,k}^H w_j
-        tables.own[t] = dots_w[own_idx]
-        tables.beam[t] = np.abs(dots_w) ** 2
-        tables.an[t] = np.abs(h_conj @ z_mat.T) ** 2
-        tables.eave_beam[t] = np.abs(w_mat @ real.g.conj()) ** 2
-        tables.eave_an[t] = np.abs(z_mat @ real.g.conj()) ** 2
-        tables.estimate_norm[t] = [np.linalg.norm(hh) for hh in est.h_hat]
-    return tables
+        h_conj, g_conj = np.concatenate(real.h).conj(), real.g.conj()
+        dots_w = h_conj @ est.w.T  # h_{m,k}^H w_j
+        return (
+            dots_w[own_idx],
+            np.abs(dots_w) ** 2,
+            np.abs(h_conj @ est.z.T) ** 2,
+            np.abs(est.w @ g_conj) ** 2,
+            np.abs(est.z @ g_conj) ** 2,
+            _row_norms(est.h_hat),
+        )
+
+    return TrialTables(*_trial_loop(cfg, n_trials, seed, trial))
 
 
 def moment_suite(
@@ -345,40 +355,34 @@ def error_decomposition_check(
     the raw estimate) and the estimate/error correlation against zero.
     """
     rho = compute_rho(cfg, p)
-    nt = cfg.n_antennas
     cluster_of = cfg.cluster_of
-    corr = np.empty((n_trials, cfg.total_users), dtype=complex)
-    norm_sq = np.empty((n_trials, cfg.n_clusters))
 
-    rho_tot = [float(rho.rho[m].sum()) for m in range(cfg.n_clusters)]
-    for t, rng in enumerate(_trial_streams(seed, n_trials)):
-        real = draw_realization(cfg, rng)
-        h_hat = np.stack(mmse_estimate(cfg, p, real, rng).h_hat)
-        corr[t] = np.vecdot(h_hat[cluster_of], np.concatenate(real.h))
-        norm_sq[t] = np.vecdot(h_hat, h_hat).real
+    def trial(real, rng):
+        h_hat = mmse_estimate(cfg, p, real, rng).h_hat
+        return np.vecdot(h_hat[cluster_of], np.concatenate(real.h)), np.vecdot(h_hat, h_hat).real
+
+    corr, norm_sq = _trial_loop(cfg, n_trials, seed, trial)
 
     # With h_unit = h_hat / sqrt(rho_tot) and eps = (h - sqrt(r) h_unit) /
     # sqrt(1 - r): <h_unit, eps> = (<h_hat, h> / sqrt(rho_tot) - sqrt(r)
     # ||h_hat||^2 / rho_tot) / sqrt(1 - r); zero where eps is undefined.
     r_u = np.concatenate(rho.rho)
-    tot_u = np.asarray(rho_tot)[cluster_of]
+    tot_u = np.array([r.sum() for r in rho.rho])[cluster_of]
     with np.errstate(divide="ignore", invalid="ignore"):
         along = corr / np.sqrt(tot_u) - np.sqrt(r_u) * norm_sq[:, cluster_of] / tot_u
         eps_corr = np.where((tot_u > 0.0) & (r_u < 1.0), along / np.sqrt(1.0 - r_u), 0.0)
 
     stats: list[MomentStat] = []
-    u = 0
-    for m in range(cfg.n_clusters):
-        for k in range(cfg.users_per_cluster[m]):
-            r = float(rho.rho[m][k])
-            pred = math.sqrt(r * rho_tot[m]) * nt
-            re_mean, re_se = _mean_se(corr[:, u].real)
-            im_mean, im_se = _mean_se(corr[:, u].imag)
-            stats.append(MomentStat("estimate_correlation_re", m, k, re_mean, pred, re_se))
-            stats.append(MomentStat("estimate_correlation_im", m, k, im_mean, 0.0, im_se))
-            er_mean, er_se = _mean_se(eps_corr[:, u].real)
-            stats.append(MomentStat("error_correlation_re", m, k, er_mean, 0.0, er_se))
-            u += 1
+    rank = np.arange(cfg.total_users) - cfg.user_offsets[cluster_of]
+    for u, (m, k) in enumerate(zip(cluster_of.tolist(), rank.tolist())):
+        pred = math.sqrt(r_u[u] * tot_u[u]) * cfg.n_antennas
+        for name, samples, predicted in (
+            ("estimate_correlation_re", corr[:, u].real, pred),
+            ("estimate_correlation_im", corr[:, u].imag, 0.0),
+            ("error_correlation_re", eps_corr[:, u].real, 0.0),
+        ):
+            mean, se = _mean_se(samples)
+            stats.append(MomentStat(name, m, k, mean, predicted, se))
     return stats
 
 

@@ -273,12 +273,6 @@ class SolverTrace:
     converged: bool = False
 
 
-def _pmax_flat(cfg: SystemConfig, p_max) -> np.ndarray:
-    if np.isscalar(p_max):
-        return np.full(cfg.total_users, float(p_max))
-    return UplinkPower.full(cfg, p_max).flat()
-
-
 def _dc_step(cfg: SystemConfig, forms, x_prev, feasible_set, penalty, options) -> np.ndarray:
     """One DC iteration from x_prev: maximize the concave surrogate
     overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
@@ -316,7 +310,7 @@ def uplink_dc_step(
     surrogate f1(P) - <grad f2(P_prev), P> (- penalty * sum P) over the
     per-user box."""
     forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
-    box = Box(lower=np.zeros(cfg.total_users), upper=_pmax_flat(cfg, p_max))
+    box = Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
     point = _dc_step(cfg, forms, p_prev.flat(), box, penalty, options or SolveOptions())
     return UplinkPower.from_flat(cfg, point)
 

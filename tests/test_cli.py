@@ -401,3 +401,10 @@ class TestRejectsBadSpecs:
         assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_drawn_gains_share_no_trial_stream(tmp_path):
+    spec = load_spec(str(write_spec(tmp_path / "spec.json")))
+    gains = np.sort(build_config(spec).flat_betas)
+    for rng in montecarlo._trial_streams(spec.seed, 3):
+        assert not np.array_equal(np.sort(rng.uniform(0.0, 100.0, gains.size)), gains)

@@ -11,6 +11,7 @@ from noma_secrecy.model import (
     compute_rho,
 )
 from noma_secrecy.montecarlo import (
+    EstimateSet,
     an_vector,
     build_estimates,
     draw_realization,
@@ -282,3 +283,41 @@ class TestErgodicOracle:
     def test_single_trial_degenerate_bands(self):
         oracle = ergodic_rate_oracle(CFG22, P22, Q22, 1, seed=2)
         assert np.all(np.isnan(np.concatenate(oracle.legit_se)))
+
+
+def test_error_decomposition_rejects_zero_trials():
+    with pytest.raises(ValueError, match="n_trials"):
+        error_decomposition_check(CFG22, P22, 0, seed=1)
+
+
+class ScriptedNormals:
+    """Stands in for a generator: returns the given standard-normal blocks
+    in turn and records the shape of each request."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.draws.pop(0)
+
+
+def test_an_redraws_only_the_direction_in_the_estimate_span():
+    # Cluster 0's first draw is a multiple of its estimate e_0, so its
+    # projection is zero and it is drawn again; cluster 1 keeps its draw.
+    h_hat = np.array([[2.0, 0, 0, 0], [0, 1.0, 0, 0]], dtype=complex)
+    first = np.random.default_rng(12).standard_normal((4, 4))
+    first[0, 1:] = first[1, 1:] = 0.0
+    second = np.random.default_rng(13).standard_normal((2, 4))
+    rng = ScriptedNormals(first.copy(), second.copy())
+    z = an_vector(EstimateSet(h_hat=h_hat), rng).z
+    assert rng.shapes == [(4, 4), (2, 4)] and not rng.draws
+
+    def expected(re, im, axis):
+        v = (re + 1j * im) / math.sqrt(2.0)
+        v[axis] = 0.0
+        return v / np.linalg.norm(v)
+
+    np.testing.assert_allclose(z[0], expected(*second, 0), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(z[1], expected(first[2], first[3], 1), rtol=1e-12, atol=1e-15)

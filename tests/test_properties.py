@@ -286,3 +286,64 @@ def test_validate_rows_equal_standalone_oracles(instance, n_trials, q_max_db):
                 value = getattr(oracle.report, name)[m][k]
                 expected.append(("rate", name, _fmt(m + 1), _fmt(k + 1), _fmt(value), _fmt(se)))
     assert rows == expected
+
+
+def transcribed_trial_tables(cfg, p, n_trials, seed):
+    """The former per-trial, per-cluster pipeline: one complex-normal call
+    per cluster and step, one estimate, beam and AN direction per cluster,
+    and the tables stacked trial by trial."""
+
+    def cn(rng, *shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+    trials = []
+    for t in range(n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        h = [cn(rng, k, cfg.n_antennas) for k in cfg.users_per_cluster]
+        g = cn(rng, cfg.n_antennas)
+        h_hat = []
+        for m in range(cfg.n_clusters):
+            energy = p.p[m] * cfg.beta(m) * cfg.pilot_len
+            y = (np.sqrt(energy)[:, None] * h[m]).sum(axis=0) + cn(rng, cfg.n_antennas)
+            total = energy.sum()
+            h_hat.append(math.sqrt(total) / (1.0 + total) * y)
+        w = [hh / np.linalg.norm(hh) for hh in h_hat]
+        z = []
+        for hh in h_hat:
+            norm_sq = float(np.vdot(hh, hh).real)
+            while True:
+                v = cn(rng, hh.size)
+                if norm_sq > 0.0:
+                    v = v - hh * (np.vdot(hh, v) / norm_sq)
+                if np.linalg.norm(v) > 1e-9:
+                    break
+            z.append(v / np.linalg.norm(v))
+        w_mat, z_mat = np.stack(w), np.stack(z)
+        h_conj = np.concatenate(h).conj()
+        dots_w = h_conj @ w_mat.T
+        trials.append((
+            dots_w[np.arange(cfg.total_users), cfg.cluster_of],
+            np.abs(dots_w) ** 2,
+            np.abs(h_conj @ z_mat.T) ** 2,
+            np.abs(w_mat @ g.conj()) ** 2,
+            np.abs(z_mat @ g.conj()) ** 2,
+            [np.linalg.norm(hh) for hh in h_hat],
+        ))
+    return [np.array(column) for column in zip(*trials)]
+
+
+big_ragged_sizes = st.lists(st.integers(1, 10), min_size=1, max_size=4).filter(
+    lambda sizes: len(sizes) == 1 or len(set(sizes)) > 1
+)
+
+
+@MONTE_CARLO
+@given(instances(sizes=big_ragged_sizes), st.integers(1, 4), st.integers(0, 2**16))
+def test_trial_tables_equal_per_cluster_pipeline(instance, n_trials, seed):
+    cfg, p, _, _ = instance
+    tables = simulate_trials(cfg, p, n_trials, seed)
+    expected = transcribed_trial_tables(cfg, p, n_trials, seed)
+    for name, table in zip(
+        ("own", "beam", "an", "eave_beam", "eave_an", "estimate_norm"), expected
+    ):
+        assert np.array_equal(getattr(tables, name), table), name
