@@ -7,6 +7,13 @@ function of (spec, seed): large-scale gains drawn for a scenario are
 seed-controlled and echoed into the per-user output so results can be
 reproduced from the CSV alone.
 
+A sweep point is a spec: the sweep's spec with its axis field set to the
+point's value (cast to int on the two integer axes; on users_per_cluster
+the drawn gain pool is cut into clusters of the new size). Every point,
+like every other command, goes from spec to configuration and budgets
+through one path, and every allocation it evaluates is written by one
+row builder.
+
 Output conventions: every file starts with a header row; floats are
 printed with nine significant digits; one tidy per-user file plus a
 companion summary file per experiment (plus a trace file for the
@@ -16,23 +23,15 @@ optimizer command).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ClusterConfig,
-    DownlinkPower,
-    SystemConfig,
-    UplinkPower,
-    compute_rho,
-    db_to_linear,
-    validate_config,
-)
+from .model import ClusterConfig, SystemConfig, compute_rho, db_to_linear, validate_config
 from .montecarlo import reduce_moments, reduce_rates, simulate_trials
 from .optimize import (
     SolveOptions,
@@ -43,7 +42,7 @@ from .optimize import (
     maximize_se,
     optimize_oma_tdma,
 )
-from .rates import energy_efficiency, secrecy_report
+from .rates import secrecy_report
 
 __all__ = [
     "ExperimentSpec",
@@ -118,7 +117,7 @@ VALIDATE_HEADER = [
 TRACE_HEADER = ["scenario", "mode", "step", "kind", "value"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """Parsed experiment description (powers still in dB where noted)."""
 
@@ -225,6 +224,8 @@ def load_spec(path: str) -> ExperimentSpec:
         seed=int(raw.get("seed", 0)),
         output=str(raw["output"]) if "output" in raw else None,
     )
+    if spec.circuit_power_db is not None and db_to_linear(spec.circuit_power_db) == 0.0:
+        raise ValueError("powers.circuit_power_db is too small for a positive linear power")
     if spec.clusters is None and (spec.n_clusters is None or spec.users_per_cluster is None):
         raise ValueError(
             "system needs either explicit clusters or n_clusters + users_per_cluster"
@@ -239,17 +240,14 @@ def _beta_pool(spec: ExperimentSpec, count: int) -> np.ndarray:
     return rng.uniform(0.0, 100.0, count)
 
 
-def build_config(
-    spec: ExperimentSpec,
-    n_antennas: int | None = None,
-    users_per_cluster: int | None = None,
-) -> SystemConfig:
-    """Materialize the system configuration for one experiment point."""
-    nt = n_antennas if n_antennas is not None else spec.n_antennas
-    if spec.clusters is not None and users_per_cluster is None:
+def build_config(spec: ExperimentSpec) -> SystemConfig:
+    """Materialize the system configuration of a spec: its explicit
+    clusters, or else its drawn gain pool cut into clusters of
+    users_per_cluster."""
+    if spec.clusters is not None:
         rows = [np.sort(np.asarray(c, dtype=float))[::-1] for c in spec.clusters]
     else:
-        k = users_per_cluster if users_per_cluster is not None else spec.users_per_cluster
+        k = spec.users_per_cluster
         if k is None or k < 1:
             raise ValueError("users_per_cluster must be a positive integer")
         if spec.total_users is not None:
@@ -266,15 +264,21 @@ def build_config(
             total = m * k
         pool = _beta_pool(spec, total)
         rows = [np.sort(pool[i * k : (i + 1) * k])[::-1] for i in range(m)]
-    m = len(rows)
     cfg = SystemConfig(
-        n_antennas=nt,
+        n_antennas=spec.n_antennas,
         clusters=tuple(ClusterConfig(r) for r in rows),
-        pilot_len=spec.pilot_len if spec.pilot_len is not None else m,
+        pilot_len=spec.pilot_len if spec.pilot_len is not None else len(rows),
         coherence_len=spec.coherence_len,
         eav_gain=spec.eav_gain,
     )
     return validate_config(cfg)
+
+
+def _point(spec: ExperimentSpec) -> tuple[SystemConfig, float, float, float | None]:
+    """A spec's configuration, linear power budgets (p_max, q_max) and
+    linear circuit power (None without one)."""
+    circuit = None if spec.circuit_power_db is None else db_to_linear(spec.circuit_power_db)
+    return build_config(spec), db_to_linear(spec.p_max_db), db_to_linear(spec.q_max_db), circuit
 
 
 def _fmt(value) -> str:
@@ -308,116 +312,61 @@ def _companion(path: str, suffix: str) -> str:
     return "%s_%s%s" % (stem, suffix, ext or ".csv")
 
 
-def _user_rows(
-    spec,
-    cfg,
-    axis,
-    axis_value,
-    allocator,
-    p: UplinkPower,
-    q: DownlinkPower,
-    report,
-    rate_scale: float = 1.0,
-    command: str = "",
-) -> list[list]:
-    rho = compute_rho(cfg, p)
-    rows = []
-    for m in range(cfg.n_clusters):
-        rows.append(
-            [
-                spec.scenario,
-                command,
-                axis,
-                axis_value,
-                allocator,
-                m + 1,
-                "an",
-                None,
-                None,
-                None,
-                q.an(m),
-                None,
-                None,
-                None,
-                None,
-            ]
-        )
-        for k in range(cfg.users_per_cluster[m]):
-            rows.append(
-                [
-                    spec.scenario,
-                    command,
-                    axis,
-                    axis_value,
-                    allocator,
-                    m + 1,
-                    "user",
-                    k + 1,
-                    cfg.beta(m)[k],
-                    p.p[m][k],
-                    q.user(m, k),
-                    rho.rho[m][k],
-                    rate_scale * report.legit[m][k],
-                    rate_scale * report.eaves[m][k],
-                    rate_scale * report.secrecy[m][k],
-                ]
-            )
-    return rows
+def _allocation_rows(
+    head: list,
+    cfg: SystemConfig,
+    allocator: str,
+    slots,
+    circuit: float | None,
+    converged: bool | None = None,
+    rounds: int | None = None,
+    lam: float | None = None,
+    shared: bool = False,
+) -> tuple[list[list], list]:
+    """The per-user rows and the summary row of one allocation.
 
-
-def _summary_row(
-    spec,
-    axis,
-    axis_value,
-    allocator,
-    p,
-    q,
-    sum_secrecy,
-    ee,
-    converged=None,
-    outer_rounds=None,
-    lambda_final=None,
-    command: str = "",
-) -> list:
-    return [
-        spec.scenario,
-        command,
-        axis,
-        axis_value,
-        allocator,
-        sum_secrecy,
-        ee,
-        p.total() if p is not None else None,
-        q.total() if q is not None else None,
-        q.an_total() if q is not None else None,
-        converged,
-        outer_rounds,
-        lambda_final,
-    ]
-
-
-def _circuit_power(spec) -> float | None:
-    if spec.circuit_power_db is None:
-        return None
-    return db_to_linear(spec.circuit_power_db)
+    `head` starts every row: scenario, command, axis and axis value.
+    `slots` holds one (p, q, report) per time slot, each slot served
+    1/len(slots) of the time; rates, the secrecy sum, the powers and the
+    energy efficiency are slot averages. An allocation on `cfg` is one
+    slot, written as each cluster's AN row followed by its users. The
+    time-shared benchmark (`shared`) serves user t of every cluster in
+    slot t on a one-user-per-cluster layout, and lists its users only,
+    without rho.
+    """
+    n_slots = len(slots)
+    users = []
+    for t, (p, q, report) in enumerate(slots):
+        rho = None if shared else compute_rho(cfg, p).rho
+        for m, p_row in enumerate(p.p):
+            if not shared:
+                an_row = [allocator, m + 1, "an", None, None, None, q.an(m)]
+                users.append(head + an_row + [None] * 4)
+            for k, p_user in enumerate(p_row):
+                u = t + k  # the user's rank in its cluster
+                row = [allocator, m + 1, "user", u + 1, cfg.beta(m)[u], p_user, q.user(m, k)]
+                rates = [r[m][k] / n_slots for r in (report.legit, report.eaves, report.secrecy)]
+                users.append(head + row + [None if rho is None else rho[m][k]] + rates)
+    powers = [(p.total(), q.total(), q.an_total()) for p, q, _ in slots]
+    uplink, downlink, an = (sum(column) / n_slots for column in zip(*powers))
+    se = sum(report.sum_secrecy for _, _, report in slots) / n_slots
+    ee = None
+    if circuit is not None:
+        ee = se / (sum(up + down for up, down, _ in powers) / n_slots + circuit)
+    return users, head + [allocator, se, ee, uplink, downlink, an, converged, rounds, lam]
 
 
 def run_rates(spec: ExperimentSpec, out: str) -> list[str]:
     """Closed-form per-user rates under the fixed power split."""
-    cfg = build_config(spec)
-    p, q = baseline_fixed(
-        cfg, db_to_linear(spec.p_max_db), db_to_linear(spec.q_max_db), spec.an_fraction
+    cfg, p_max, q_max, circuit = _point(spec)
+    p, q = baseline_fixed(cfg, p_max, q_max, spec.an_fraction)
+    head = [spec.scenario, "rates", "", ""]
+    users, summary = _allocation_rows(
+        head, cfg, "fixed", [(p, q, secrecy_report(cfg, p, q))], circuit
     )
-    report = secrecy_report(cfg, p, q)
-    circuit = _circuit_power(spec)
-    ee = energy_efficiency(report, p, q, circuit) if circuit is not None else None
-    users = _user_rows(spec, cfg, "", "", "fixed", p, q, report, command="rates")
-    summary = [
-        _summary_row(spec, "", "", "fixed", p, q, report.sum_secrecy, ee, command="rates")
-    ]
     return [
         _write_csv(out, USER_HEADER, users),
-        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, summary),
+        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, [summary]),
     ]
 
 
@@ -425,10 +374,8 @@ def run_validate(spec: ExperimentSpec, out: str) -> list[str]:
     """Closed forms against their Monte Carlo estimates with 3-sigma
     bands; rows with no usable band (single trial) are flagged. One
     simulation feeds both the moment rows and the rate rows."""
-    cfg = build_config(spec)
-    p, q = baseline_fixed(
-        cfg, db_to_linear(spec.p_max_db), db_to_linear(spec.q_max_db), spec.an_fraction
-    )
+    cfg, p_max, q_max, _ = _point(spec)
+    p, q = baseline_fixed(cfg, p_max, q_max, spec.an_fraction)
     rows: list[list] = []
 
     def band_row(kind, name, cluster, user, empirical, predicted, stderr):
@@ -477,193 +424,85 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
     """Run one power-allocation solve and emit allocation, rates, trace."""
     if mode not in ("se", "ee"):
         raise ValueError("mode must be 'se' or 'ee', got %r" % mode)
-    cfg = build_config(spec)
-    p_max = db_to_linear(spec.p_max_db)
-    q_max = db_to_linear(spec.q_max_db)
-    circuit = _circuit_power(spec)
-    allocator = "proposed_%s" % mode
-
+    cfg, p_max, q_max, circuit = _point(spec)
     if mode == "se":
         p, q, report, trace = maximize_se(cfg, p_max, q_max)
-        ee = energy_efficiency(report, p, q, circuit) if circuit is not None else None
-        lambda_final = None
+        lam = None
     else:
         if circuit is None:
             raise ValueError("powers.circuit_power_db is required for mode=ee")
-        p, q, ee, trace = maximize_ee(cfg, p_max, q_max, circuit)
+        p, q, _, trace = maximize_ee(cfg, p_max, q_max, circuit)
         report = secrecy_report(cfg, p, q)
-        lambda_final = trace.lambda_sequence[-1]
+        lam = trace.lambda_sequence[-1]
 
-    users = _user_rows(spec, cfg, "", "", allocator, p, q, report, command="optimize")
-    summary = [
-        _summary_row(
-            spec,
-            "",
-            "",
-            allocator,
-            p,
-            q,
-            report.sum_secrecy,
-            ee,
-            converged=trace.converged,
-            outer_rounds=len(trace.epsilons),
-            lambda_final=lambda_final,
-            command="optimize",
+    head = [spec.scenario, "optimize", "", ""]
+    users, summary = _allocation_rows(
+        head, cfg, "proposed_%s" % mode, [(p, q, report)], circuit,
+        trace.converged, len(trace.epsilons), lam,
+    )
+    trace_rows = [
+        [spec.scenario, mode, i, kind, value]
+        for kind, values in (
+            ("objective", trace.outer_values),
+            ("epsilon", trace.epsilons),
+            ("lambda", trace.lambda_sequence),
         )
+        for i, value in enumerate(values)
     ]
-    trace_rows: list[list] = []
-    for i, value in enumerate(trace.outer_values):
-        trace_rows.append([spec.scenario, mode, i, "objective", value])
-    for i, value in enumerate(trace.epsilons):
-        trace_rows.append([spec.scenario, mode, i, "epsilon", value])
-    for i, value in enumerate(trace.lambda_sequence):
-        trace_rows.append([spec.scenario, mode, i, "lambda", value])
     return [
         _write_csv(out, USER_HEADER, users),
-        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, summary),
+        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, [summary]),
         _write_csv(_companion(out, "trace"), TRACE_HEADER, trace_rows),
     ]
 
 
-def _sweep_point(spec: ExperimentSpec, axis: str, value: float):
-    """All allocators evaluated at one sweep point; returns CSV rows."""
-    n_antennas = None
-    users_per_cluster = None
-    p_max_db = spec.p_max_db
-    q_max_db = spec.q_max_db
-    if axis == "n_antennas":
-        n_antennas = int(value)
-    elif axis == "users_per_cluster":
-        users_per_cluster = int(value)
-    elif axis == "p_max_db":
-        p_max_db = value
-    elif axis == "q_max_db":
-        q_max_db = value
-    cfg = build_config(spec, n_antennas=n_antennas, users_per_cluster=users_per_cluster)
-    p_max = db_to_linear(p_max_db)
-    q_max = db_to_linear(q_max_db)
-    circuit = _circuit_power(spec)
+def _sweep_point(spec: ExperimentSpec, value: float) -> list[tuple[list[list], list]]:
+    """The (user rows, summary row) of every allocator at one sweep point:
+    the spec with its sweep axis set to `value`."""
+    axis = spec.sweep_axis
+    changes = {axis: int(value) if axis in ("n_antennas", "users_per_cluster") else value}
+    if axis == "users_per_cluster":
+        changes["clusters"] = None  # cut the drawn gain pool into clusters of this size
+    cfg, p_max, q_max, circuit = _point(dataclasses.replace(spec, **changes))
+    head = [spec.scenario, "sweep", axis, value]
     options = SolveOptions()
 
-    user_rows: list[list] = []
-    summary_rows: list[list] = []
-
-    def ee_of(report, p, q):
-        if circuit is None:
-            return None
-        return energy_efficiency(report, p, q, circuit)
-
-    def add(allocator, p, q, report, converged=None, rounds=None, lam=None, scale=1.0, ee=None):
-        user_rows.extend(
-            _user_rows(
-                spec, cfg, axis, value, allocator, p, q, report,
-                rate_scale=scale, command="sweep",
-            )
+    p, q = baseline_fixed(cfg, p_max, q_max, spec.an_fraction)
+    fixed = [(p, q, secrecy_report(cfg, p, q))]
+    allocations = [_allocation_rows(head, cfg, "fixed", fixed, circuit)]
+    for allocator, solve in (("uplink", baseline_uplink_se), ("downlink", baseline_downlink_se)):
+        p, q, report, trace = solve(cfg, p_max, q_max, options)
+        allocations.append(
+            _allocation_rows(head, cfg, allocator, [(p, q, report)], circuit, trace.converged)
         )
-        summary_rows.append(
-            _summary_row(
-                spec,
-                axis,
-                value,
-                allocator,
-                p,
-                q,
-                scale * report.sum_secrecy,
-                ee if ee is not None else ee_of(report, p, q),
-                converged=converged,
-                outer_rounds=rounds,
-                lambda_final=lam,
-                command="sweep",
-            )
+    p, q, report, trace = maximize_se(cfg, p_max, q_max, options)
+    allocations.append(
+        _allocation_rows(
+            head, cfg, "proposed", [(p, q, report)], circuit, trace.converged, len(trace.epsilons)
         )
-
-    p_f, q_f = baseline_fixed(cfg, p_max, q_max, spec.an_fraction)
-    add("fixed", p_f, q_f, secrecy_report(cfg, p_f, q_f))
-
-    p_u, q_u, rep_u, tr_u = baseline_uplink_se(cfg, p_max, q_max, options)
-    add("uplink", p_u, q_u, rep_u, converged=tr_u.converged)
-
-    p_d, q_d, rep_d, tr_d = baseline_downlink_se(cfg, p_max, q_max, options)
-    add("downlink", p_d, q_d, rep_d, converged=tr_d.converged)
-
-    p_p, q_p, rep_p, tr_p = maximize_se(cfg, p_max, q_max, options)
-    add(
-        "proposed",
-        p_p,
-        q_p,
-        rep_p,
-        converged=tr_p.converged,
-        rounds=len(tr_p.epsilons),
     )
-
     if circuit is not None:
-        p_e, q_e, ee_val, tr_e = maximize_ee(cfg, p_max, q_max, circuit, options)
-        rep_e = secrecy_report(cfg, p_e, q_e)
-        add(
-            "proposed_ee",
-            p_e,
-            q_e,
-            rep_e,
-            converged=tr_e.converged,
-            rounds=len(tr_e.epsilons),
-            lam=tr_e.lambda_sequence[-1],
-            ee=ee_val,
+        p, q, _, trace = maximize_ee(cfg, p_max, q_max, circuit, options)
+        allocations.append(
+            _allocation_rows(
+                head, cfg, "proposed_ee", [(p, q, secrecy_report(cfg, p, q))], circuit,
+                trace.converged, len(trace.epsilons), trace.lambda_sequence[-1],
+            )
         )
-
     if len(set(cfg.users_per_cluster)) == 1:
-        oma = optimize_oma_tdma(cfg, p_max, q_max, options, circuit_power=circuit)
-        k_total = cfg.users_per_cluster[0]
-        # user (m, k) is served in slot k; report its time-shared rates
-        for k in range(k_total):
-            p_t, q_t, rep_t, _ = oma.slots[k]
-            for m in range(cfg.n_clusters):
-                user_rows.append(
-                    [
-                        spec.scenario,
-                        "sweep",
-                        axis,
-                        value,
-                        "oma",
-                        m + 1,
-                        "user",
-                        k + 1,
-                        cfg.beta(m)[k],
-                        p_t.p[m][0],
-                        q_t.user(m, 0),
-                        None,
-                        rep_t.legit[m][0] / k_total,
-                        rep_t.eaves[m][0] / k_total,
-                        rep_t.secrecy[m][0] / k_total,
-                    ]
-                )
-        summary_rows.append(
-            [
-                spec.scenario,
-                "sweep",
-                axis,
-                value,
-                "oma",
-                oma.se,
-                oma.ee,
-                sum(pt.total() for pt, _, _, _ in oma.slots) / k_total,
-                sum(qt.total() for _, qt, _, _ in oma.slots) / k_total,
-                sum(qt.an_total() for _, qt, _, _ in oma.slots) / k_total,
-                None,
-                None,
-                None,
-            ]
-        )
-    return user_rows, summary_rows
+        oma = optimize_oma_tdma(cfg, p_max, q_max, options)
+        slots = [(p, q, report) for p, q, report, _ in oma.slots]
+        allocations.append(_allocation_rows(head, cfg, "oma", slots, circuit, shared=True))
+    return allocations
 
 
 def run_sweep(spec: ExperimentSpec, out: str) -> list[str]:
     """Evaluate every allocator at each sweep point, in axis order."""
     if spec.sweep_axis is None:
         raise ValueError("the spec has no sweep section")
-    results = [_sweep_point(spec, spec.sweep_axis, v) for v in spec.sweep_values]
-    user_rows = [row for users, _ in results for row in users]
-    summary_rows = [row for _, summaries in results for row in summaries]
+    allocations = [a for value in spec.sweep_values for a in _sweep_point(spec, value)]
+    users = [row for rows, _ in allocations for row in rows]
     return [
-        _write_csv(out, USER_HEADER, user_rows),
-        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, summary_rows),
+        _write_csv(out, USER_HEADER, users),
+        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, [s for _, s in allocations]),
     ]

@@ -100,11 +100,11 @@ class SystemConfig:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    @property
+    @cached_property
     def users_per_cluster(self) -> tuple[int, ...]:
         return tuple(c.n_users for c in self.clusters)
 
-    @property
+    @cached_property
     def total_users(self) -> int:
         return sum(self.users_per_cluster)
 
@@ -145,9 +145,15 @@ class SystemConfig:
         """Large-scale gain of each user."""
         return _readonly(np.concatenate([c.betas for c in self.clusters]))
 
+    @cached_property
+    def _user_bounds(self) -> tuple[tuple[int, int], ...]:
+        ends = np.cumsum(self.users_per_cluster).tolist()
+        return tuple(zip([0] + ends[:-1], ends))
+
     def split_users(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Cut a flat per-user vector into per-cluster rows."""
-        return tuple(np.split(flat, self.user_offsets[1:]))
+        """Cut a flat per-user vector (or the rows of an array) into
+        per-cluster views."""
+        return tuple(flat[start:end] for start, end in self._user_bounds)
 
     def cluster_totals(self, flat: np.ndarray) -> np.ndarray:
         """For each user, the sum of a flat per-user vector over its own
@@ -167,8 +173,10 @@ class SystemConfig:
         cluster, total power of every other cluster with its AN)."""
         own = q_flat[self.user_slots]
         an = q_flat[self.slot_offsets][self.cluster_of]
-        others = q_flat.sum() - np.add.reduceat(q_flat, self.slot_offsets)
-        return own, an, self.stronger_sums(own), others[self.cluster_of]
+        # The other clusters' power from the per-cluster totals alone, so
+        # that it is exactly zero on a one-cluster layout.
+        totals = np.add.reduceat(q_flat, self.slot_offsets)
+        return own, an, self.stronger_sums(own), (totals.sum() - totals)[self.cluster_of]
 
     @cached_property
     def slot_indicators(self) -> tuple[np.ndarray, ...]:

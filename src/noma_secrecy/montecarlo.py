@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DownlinkPower, SystemConfig, UplinkPower, compute_rho
-from .rates import RateReport, chi_mean
+from .rates import RateReport, _user_terms, chi_mean
 
 __all__ = [
     "ChannelRealization",
@@ -271,6 +271,11 @@ def reduce_moments(
     cmean = chi_mean(nt)
     cross_w, cross_z = tables.beam, tables.an
     stats: list[MomentStat] = []
+    # The assembled terms are predicted by the closed form that `rates`
+    # and the solvers use.
+    kappa, im1, im2, im3, _, _ = _user_terms(
+        cfg, np.concatenate(rho.rho), q.flat(), exact_gain=True
+    )
 
     def add(name, m, k, samples, predicted):
         mean, se = _mean_se(samples)
@@ -307,29 +312,18 @@ def reduce_moments(
             mean_c = complex(own.mean())
             kappa_emp = qk * beta * abs(mean_c) ** 2
             kappa_se = qk * beta * 2.0 * abs(mean_c) * math.hypot(re_se, im_se)
-            stats.append(
-                MomentStat("kappa", m, k, kappa_emp, qk * beta * r * cmean**2, kappa_se)
-            )
+            stats.append(MomentStat("kappa", m, k, kappa_emp, float(kappa[u]), kappa_se))
             leak_emp = qk * beta * (bp_mean - abs(mean_c) ** 2)
-            leak_pred = qk * beta * (r * nt + 1.0 - r - r * cmean**2)
             leak_se = qk * beta * (bp_se + 2.0 * abs(mean_c) * math.hypot(re_se, im_se))
-            stats.append(MomentStat("im1", m, k, leak_emp, leak_pred, leak_se))
+            stats.append(MomentStat("im1", m, k, leak_emp, float(im1[u]), leak_se))
 
             stronger = float(row[1 : 1 + k].sum())
             im2_samples = beta * (stronger * beam_pow + float(row[0]) * cross_z[:, u, m])
-            im2_pred = beta * (stronger * (r * nt + 1.0 - r) + float(row[0]) * (1.0 - r))
-            add("im2", m, k, im2_samples, im2_pred)
+            add("im2", m, k, im2_samples, float(im2[u]))
 
-            inter_samples = np.zeros(own.size)
-            inter_pred = 0.0
-            for j in range(m_tot):
-                if j == m:
-                    continue
-                inter_samples += beta * (
-                    q_user_sum[j] * cross_w[:, u, j] + q_an[j] * cross_z[:, u, j]
-                )
-                inter_pred += beta * (q_user_sum[j] + q_an[j])
-            add("im3", m, k, inter_samples, inter_pred)
+            inter = beta * (q_user_sum * cross_w[:, u] + q_an * cross_z[:, u])
+            others = (inter[:, j] for j in range(m_tot) if j != m)
+            add("im3", m, k, sum(others, np.zeros(own.size)), float(im3[u]))
             u += 1
 
         add("eave_beam_power", m, None, tables.eave_beam[:, m], 1.0)

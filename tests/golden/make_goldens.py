@@ -11,7 +11,10 @@ largest deviation when committing one.
 The specs are tiny on purpose, so the comparison stays cheap. Two are
 ragged, one of them with beta_E = 0; `wide` puts the Monte Carlo checks
 at N_t = 256; `pairs` has equal-size clusters, so its sweep also runs the
-time-shared benchmark.
+time-shared benchmark. `power-sweep` sweeps q_max_db on the ragged
+beta_E = 0 layout with a circuit power, so it runs `proposed_ee`; `pool`
+sweeps users_per_cluster over a drawn pool of total_users gains, cut into
+two one-user clusters and then one two-user cluster, each with `oma` rows.
 """
 
 from __future__ import annotations
@@ -71,6 +74,32 @@ SPECS = {
         "sweep": {"axis": "n_antennas", "values": [4, 8]},
         "seed": 1,
     },
+    "power-sweep": {
+        "scenario": "golden-power-sweep",
+        "system": {
+            "n_antennas": 4,
+            "clusters": [[20.0, 5.0], [10.0]],
+            "coherence_len": 300,
+            "eav_gain": 0.0,
+        },
+        "powers": {"p_max_db": 0.0, "q_max_db": 5.0, "circuit_power_db": 5.0},
+        "sweep": {"axis": "q_max_db", "values": [0.0, 5.0]},
+        "seed": 1,
+    },
+    "pool": {
+        "scenario": "golden-pool",
+        "system": {
+            "n_antennas": 4,
+            "n_clusters": 1,
+            "users_per_cluster": 2,
+            "total_users": 2,
+            "coherence_len": 300,
+            "eav_gain": 10.0,
+        },
+        "powers": {"p_max_db": 0.0, "q_max_db": 10.0},
+        "sweep": {"axis": "users_per_cluster", "values": [1, 2]},
+        "seed": 4,
+    },
 }
 
 # (output stem, CLI arguments before --spec, spec name)
@@ -83,6 +112,8 @@ COMMANDS = (
     ("se-silent-eve", ("optimize", "--mode", "se"), "silent-eve"),
     ("ee-silent-eve", ("optimize", "--mode", "ee"), "silent-eve"),
     ("sweep-pairs", ("sweep",), "pairs"),
+    ("sweep-power", ("sweep",), "power-sweep"),
+    ("sweep-pool", ("sweep",), "pool"),
 )
 
 

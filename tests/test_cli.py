@@ -2,12 +2,15 @@ import csv
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import noma_secrecy
 from noma_secrecy import montecarlo
 from noma_secrecy.cli import main
 from noma_secrecy.experiments import build_config, load_spec, run_validate
@@ -74,9 +77,11 @@ class TestSpecLoading:
         )
         spec = load_spec(str(spec_path))
         pool = np.sort(
-            np.concatenate([build_config(spec, users_per_cluster=2).beta(m) for m in range(2)])
+            np.concatenate(
+                [build_config(replace(spec, users_per_cluster=2)).beta(m) for m in range(2)]
+            )
         )
-        pool4 = np.sort(build_config(spec, users_per_cluster=4).beta(0))
+        pool4 = np.sort(build_config(replace(spec, users_per_cluster=4)).beta(0))
         np.testing.assert_allclose(pool, pool4)
 
     def test_rejects_unknown_axis(self, tmp_path):
@@ -350,6 +355,10 @@ class TestCliSurface:
     def test_console_entry_point(self, tmp_path):
         spec_path = write_spec(tmp_path / "spec.json")
         out = tmp_path / "rates.csv"
+        # The child must import the package under test, installed or not.
+        package_root = os.path.dirname(os.path.dirname(noma_secrecy.__file__))
+        path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -364,6 +373,7 @@ class TestCliSurface:
             capture_output=True,
             text=True,
             timeout=300,
+            env=env,
         )
         assert proc.returncode == 0
         assert str(out) in proc.stdout
@@ -382,6 +392,7 @@ class TestRejectsBadSpecs:
         "inf-p-max": {"powers": {"p_max_db": math.inf}},
         "nan-q-max": {"powers": {"q_max_db": math.nan}},
         "inf-circuit-power": {"powers": {"circuit_power_db": -math.inf}},
+        "zero-circuit-power": {"powers": {"circuit_power_db": -4000}},
         "nan-sweep-value": {"sweep": {"axis": "q_max_db", "values": [0.0, math.nan]}},
         "unknown-top-key": {"power": {"p_max_db": 3.0}},
         "unknown-system-key": {"system": {"n_antenna": 8}},

@@ -83,6 +83,18 @@ class TestSinrTerms:
         expected = 1.0 * (4.0 + 2.0) * (0.2 * nt + 0.8)
         assert d2.im2 == pytest.approx(expected, rel=1e-12)
 
+    def test_one_cluster_sees_no_inter_cluster_power(self):
+        # Two summation orders of 0.1 + 0.2 + 0.3 differ in the last bit;
+        # I3 must still be exactly zero.
+        cfg = make_cfg([[5.0, 4.0]], pilot_len=1)
+        rho = EstimationQuality((np.array([0.5, 0.3]),))
+        q = DownlinkPower((np.array([0.1, 0.2, 0.3]),))
+        assert [sinr_terms(cfg, rho, q, 0, k).im3 for k in (0, 1)] == [0.0, 0.0]
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            q = DownlinkPower((rng.uniform(0.0, 10.0, 3),))
+            assert sinr_terms(cfg, rho, q, 0, 1).im3 == 0.0
+
     def test_exact_gain_consistency(self):
         # kappa + im1 is the full received desired power, identical under
         # both gain conventions.
