@@ -26,7 +26,9 @@ are validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+log = logging.getLogger("noma_secrecy")
 
 
 @dataclass(frozen=True)
@@ -264,19 +268,25 @@ class SolverTrace:
     sequence of each stage. epsilons records the per-round gap between
     the downlink- and uplink-stage objectives (sign included);
     lambda_sequence is filled by the energy-efficiency loop only.
+    kernel_stops counts the projected-gradient calls of every DC step by
+    stop reason ("stationary", "floor" or "cap"; see `SolveResult`).
     """
 
     outer_values: list[float] = field(default_factory=list)
     step_values: list[list[float]] = field(default_factory=list)
     epsilons: list[float] = field(default_factory=list)
     lambda_sequence: list[float] = field(default_factory=list)
+    kernel_stops: Counter[str] = field(default_factory=Counter)
     converged: bool = False
 
 
-def _dc_step(cfg: SystemConfig, forms, x_prev, feasible_set, penalty, options) -> np.ndarray:
+def _dc_step(
+    cfg: SystemConfig, forms, x_prev, feasible_set, penalty, options, trace
+) -> np.ndarray:
     """One DC iteration from x_prev: maximize the concave surrogate
     overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
-    - penalty * sum x over the feasible set."""
+    - penalty * sum x over the feasible set. The kernel's stop reason is
+    counted in trace.kernel_stops when a trace is given."""
     concave, sub = forms
     scale = cfg.overhead
     sub_prev, sub_grad_prev = sub.evaluate(x_prev)
@@ -295,6 +305,8 @@ def _dc_step(cfg: SystemConfig, forms, x_prev, feasible_set, penalty, options) -
         tol=options.kernel_tol,
         max_iter=options.kernel_max_iter,
     )
+    if trace is not None:
+        trace.kernel_stops[result.stop] += 1
     return result.point
 
 
@@ -305,13 +317,15 @@ def uplink_dc_step(
     p_max,
     penalty: float = 0.0,
     options: SolveOptions | None = None,
+    trace: SolverTrace | None = None,
 ) -> UplinkPower:
     """One DC iteration of the uplink subproblem: maximize the concave
     surrogate f1(P) - <grad f2(P_prev), P> (- penalty * sum P) over the
-    per-user box."""
+    per-user box. The kernel's stop reason is counted in `trace`, if
+    given."""
     forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
     box = Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
-    point = _dc_step(cfg, forms, p_prev.flat(), box, penalty, options or SolveOptions())
+    point = _dc_step(cfg, forms, p_prev.flat(), box, penalty, options or SolveOptions(), trace)
     return UplinkPower.from_flat(cfg, point)
 
 
@@ -322,13 +336,16 @@ def downlink_dc_step(
     q_max: float,
     penalty: float = 0.0,
     options: SolveOptions | None = None,
+    trace: SolverTrace | None = None,
 ) -> DownlinkPower:
     """One DC iteration of the downlink subproblem: maximize the concave
     surrogate g1(Q) + g3(Q) - <grad (g2+g4)(Q_prev), Q> (- penalty *
-    sum Q) over the capped nonnegative set."""
+    sum Q) over the capped nonnegative set. The kernel's stop reason is
+    counted in `trace`, if given."""
     forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
     point = _dc_step(
-        cfg, forms, q_prev.flat(), CappedSimplex(cap=q_max), penalty, options or SolveOptions()
+        cfg, forms, q_prev.flat(), CappedSimplex(cap=q_max), penalty,
+        options or SolveOptions(), trace,
     )
     return DownlinkPower.from_flat(cfg, point)
 
@@ -346,6 +363,15 @@ def _stage_objective(cfg, p, q, lam, circuit_power) -> float:
     if lam != 0.0:
         value -= lam * (p.total() + q.total() + circuit_power)
     return value
+
+
+def _warn_cap_hits(solver: str, trace: SolverTrace) -> None:
+    caps = trace.kernel_stops["cap"]
+    if caps:
+        log.warning(
+            "%s: %d of %d kernel calls stopped at the iteration cap",
+            solver, caps, trace.kernel_stops.total(),
+        )
 
 
 def _dc_stage(step, objective, x, start: float, options: SolveOptions, trace: SolverTrace):
@@ -386,7 +412,7 @@ def _alternate(
     for _ in range(options.max_outer):
         # Uplink stage at fixed downlink powers.
         p, r_up, _ = _dc_stage(
-            lambda p: uplink_dc_step(cfg, q, p, p_max, penalty=lam, options=options),
+            lambda p: uplink_dc_step(cfg, q, p, p_max, penalty=lam, options=options, trace=trace),
             lambda p: _stage_objective(cfg, p, q, lam, circuit_power),
             p, trace.outer_values[-1], options, trace,
         )
@@ -395,7 +421,9 @@ def _alternate(
         # Downlink stage at the resulting estimation quality.
         rho = compute_rho(cfg, p)
         q, r_down, _ = _dc_stage(
-            lambda q: downlink_dc_step(cfg, rho, q, q_max, penalty=lam, options=options),
+            lambda q: downlink_dc_step(
+                cfg, rho, q, q_max, penalty=lam, options=options, trace=trace
+            ),
             lambda q: _stage_objective(cfg, p, q, lam, circuit_power),
             q, r_up, options, trace,
         )
@@ -450,6 +478,7 @@ def maximize_se(
         p0 = p0 if p0 is not None else p_init
         q0 = q0 if q0 is not None else q_init
     p, q, trace = _alternate(cfg, p_max, q_max, p0, q0, options)
+    _warn_cap_hits("maximize_se", trace)
     report = secrecy_report(cfg, p, q)
     return p, q, report, trace
 
@@ -484,7 +513,7 @@ def maximize_ee(
         q = DownlinkPower.zeros(cfg)
 
     for _ in range(options.ee_max_outer):
-        p, q, _ = _alternate(
+        p, q, round_trace = _alternate(
             cfg,
             p_max,
             q_max,
@@ -495,6 +524,7 @@ def maximize_ee(
             circuit_power=circuit_power,
             outer_tol=options.ee_outer_tol,
         )
+        trace.kernel_stops.update(round_trace.kernel_stops)
         se_smooth = smooth_secrecy_sum(cfg, p, q)
         denom = p.total() + q.total() + circuit_power
         f_hat = se_smooth - lam * denom
@@ -514,6 +544,7 @@ def maximize_ee(
             trace.converged = True
             break
 
+    _warn_cap_hits("maximize_ee", trace)
     report = secrecy_report(cfg, p, q)
     ee = energy_efficiency(report, p, q, circuit_power)
     return p, q, ee, trace
@@ -531,7 +562,7 @@ def baseline_downlink_se(
     rho = compute_rho(cfg, p)
     trace = SolverTrace()
     q, _, trace.converged = _dc_stage(
-        lambda q: downlink_dc_step(cfg, rho, q, q_max, options=options),
+        lambda q: downlink_dc_step(cfg, rho, q, q_max, options=options, trace=trace),
         lambda q: smooth_secrecy_sum(cfg, p, q),
         q, smooth_secrecy_sum(cfg, p, q), options, trace,
     )
@@ -550,7 +581,7 @@ def baseline_uplink_se(
     p, q = baseline_fixed(cfg, p_max, q_max)
     trace = SolverTrace()
     p, _, trace.converged = _dc_stage(
-        lambda p: uplink_dc_step(cfg, q, p, p_max, options=options),
+        lambda p: uplink_dc_step(cfg, q, p, p_max, options=options, trace=trace),
         lambda p: smooth_secrecy_sum(cfg, p, q),
         p, smooth_secrecy_sum(cfg, p, q), options, trace,
     )

@@ -1,7 +1,11 @@
+import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import noma_secrecy.optimize as optimize_module
 
 from noma_secrecy.model import (
     ClusterConfig,
@@ -392,6 +396,59 @@ class TestMaximizeEe:
         cfg = scenario(37, m=2, k=2)
         with pytest.raises(ValueError):
             maximize_ee(cfg, 1.0, 10.0, circuit_power=0.0)
+
+
+class TestKernelStops:
+    @pytest.fixture
+    def kernel_stops(self, monkeypatch):
+        """Stop reasons of every kernel call, recorded beside the solver."""
+        seen = []
+
+        def recording(*args, **kwargs):
+            result = maximize(*args, **kwargs)
+            seen.append(result.stop)
+            return result
+
+        monkeypatch.setattr(optimize_module, "maximize", recording)
+        return seen
+
+    @pytest.mark.parametrize("kernel_max_iter", [300, 1])
+    def test_se_counts_every_kernel_call(self, kernel_stops, caplog, kernel_max_iter):
+        cfg = scenario(40, m=2, k=2, nt=32)
+        options = SolveOptions(kernel_max_iter=kernel_max_iter)
+        with caplog.at_level(logging.WARNING, logger="noma_secrecy"):
+            _, _, _, trace = maximize_se(cfg, 1.0, 10.0, options)
+        assert trace.kernel_stops == Counter(kernel_stops)
+        assert trace.kernel_stops.total() == sum(len(v) - 1 for v in trace.step_values)
+        caps = trace.kernel_stops["cap"]
+        if kernel_max_iter == 1:
+            assert caps > 0
+            [record] = caplog.records
+            assert record.levelno == logging.WARNING
+            assert "maximize_se: %d of %d kernel calls" % (caps, len(kernel_stops)) in (
+                record.getMessage()
+            )
+        else:
+            assert caps == 0 and not caplog.records
+
+    def test_ee_merges_every_round(self, kernel_stops, caplog):
+        cfg = scenario(41, m=2, k=2, nt=32)
+        options = SolveOptions(kernel_max_iter=1)
+        with caplog.at_level(logging.WARNING, logger="noma_secrecy"):
+            _, _, _, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5, options=options)
+        assert len(trace.epsilons) > 1
+        assert trace.kernel_stops == Counter(kernel_stops)
+        [record] = caplog.records
+        assert "maximize_ee: %d of %d kernel calls" % (
+            trace.kernel_stops["cap"], len(kernel_stops)
+        ) in record.getMessage()
+
+    def test_baselines_count_their_stage(self, kernel_stops):
+        cfg = scenario(42, m=2, k=2, nt=32)
+        for solve in (baseline_downlink_se, baseline_uplink_se):
+            kernel_stops.clear()
+            _, _, _, trace = solve(cfg, 1.0, 10.0)
+            assert trace.kernel_stops.total() == len(kernel_stops) == len(trace.outer_values) - 1
 
 
 class TestOmaTdma:

@@ -152,6 +152,85 @@ class TestMaximize:
         assert res.point[0] == pytest.approx(0.4, abs=1e-6)
 
 
+def ill_conditioned_problem(center):
+    """-1/2 sum c_i (x_i - center_i)^2 on the unit box, curvatures c_i
+    spread log-evenly over 1..1e4."""
+    curvatures = np.logspace(0.0, 4.0, 10)
+
+    def evaluate(x):
+        diff = x - center
+        return -0.5 * float(curvatures @ (diff * diff)), -curvatures * diff
+
+    return ConcaveProblem(dim=10, evaluate=evaluate, feasible_set=Box(np.zeros(10), np.ones(10)))
+
+
+class TestSpectralStep:
+    @pytest.mark.parametrize("start", [0.0, 0.5, 1.0])
+    def test_ill_conditioned_box_quadratic_is_solved_before_the_cap(self, start):
+        # Four coordinates end on a bound. A trial step carried over from
+        # the previous search (times `grow`) stays near 1 / c_max, which
+        # runs into the 300-iteration cap from each of these starts.
+        center = np.linspace(-0.2, 1.2, 10)
+        res = maximize(ill_conditioned_problem(center), np.full(10, start), max_iter=300)
+        assert res.stop == "stationary" and res.converged
+        assert res.iterations <= 200
+        np.testing.assert_allclose(res.point, np.clip(center, 0.0, 1.0), atol=1e-7)
+        assert np.all(np.diff(res.history) >= 0.0)
+
+    def test_ill_conditioned_interior_quadratic(self):
+        # Optimum inside the box, so all ten curvatures act. The carried-
+        # over step needs about 61,000 iterations here; the spectral step
+        # about 1,000.
+        center = np.linspace(0.1, 0.9, 10)
+        res = maximize(ill_conditioned_problem(center), np.full(10, 0.5), max_iter=2000)
+        assert res.stop == "stationary"
+        assert res.iterations <= 1200
+        assert np.all(np.diff(res.history) >= 0.0)
+
+    def test_linear_objective_falls_back_to_the_grown_step(self):
+        # A linear objective has y = grad_prev - grad = 0, so s.y = 0 and
+        # every trial step is the last accepted one doubled: 2, 4, 8, ...
+        weights = np.array([1e-3, 3e-3, 2e-3])
+
+        def evaluate(x):
+            return float(weights @ x), weights.copy()
+
+        problem = ConcaveProblem(dim=3, evaluate=evaluate, feasible_set=CappedSimplex(2.0))
+        res = maximize(problem, np.zeros(3))
+        assert res.stop == "stationary"
+        np.testing.assert_allclose(res.point, [0.0, 2.0, 0.0], atol=1e-12)
+        assert np.all(np.diff(res.history) >= 0.0)
+        # Until the simplex cap binds, the iterate after n steps is
+        # (2 + ... + 2^n) w.
+        np.testing.assert_allclose(
+            res.history[1:3], [2.0 * weights @ weights, 6.0 * weights @ weights], rtol=1e-12
+        )
+
+
+class TestStopReasons:
+    def test_cap(self):
+        problem = quadratic_problem([0.3, 0.6], Box(np.zeros(2), np.ones(2)))
+        res = maximize(problem, np.zeros(2), max_iter=1)
+        assert (res.stop, res.converged, res.iterations) == ("cap", False, 1)
+
+    def test_stationary(self):
+        problem = quadratic_problem([0.3, 0.6], Box(np.zeros(2), np.ones(2)))
+        res = maximize(problem, np.zeros(2), tol=1e-10)
+        assert (res.stop, res.converged) == ("stationary", True)
+        assert res.stationarity <= 1e-10
+
+    def test_floor(self):
+        # A gradient that points uphill but never passes the Armijo test:
+        # the objective falls along it, so every trial step is rejected.
+        def evaluate(x):
+            return -float(x[0]), np.array([1.0])
+
+        problem = ConcaveProblem(dim=1, evaluate=evaluate, feasible_set=Box([0.0], [1.0]))
+        res = maximize(problem, np.zeros(1))
+        assert (res.stop, res.converged, res.iterations) == ("floor", True, 1)
+        assert res.stationarity > 1e-7
+
+
 class TestFiniteDifference:
     def test_matches_known_gradient(self):
         def f(x):

@@ -29,12 +29,14 @@ from noma_secrecy.montecarlo import (
 )
 from noma_secrecy.optimize import (
     LogAffine,
+    SolveOptions,
     _downlink_coeffs,
     _downlink_parts,
     _uplink_coeffs,
     _uplink_parts,
     baseline_fixed,
     downlink_dc_step,
+    maximize_ee,
     smooth_secrecy_sum,
     uplink_dc_step,
 )
@@ -56,6 +58,9 @@ ragged_sizes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
     lambda sizes: len(sizes) == 1 or len(set(sizes)) > 1
 )
 single_user_sizes = st.integers(1, 4).map(lambda m: [1] * m)
+tiny_sizes = st.lists(st.integers(1, 2), min_size=1, max_size=2).filter(
+    lambda sizes: len(sizes) == 1 or len(set(sizes)) > 1
+)
 
 
 @st.composite
@@ -180,6 +185,21 @@ def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
     q_next = downlink_dc_step(cfg, compute_rho(cfg, p_next), q, q_max=100.0, penalty=penalty)
     assert stage(p_next, q_next) >= after_up - 1e-9
     assert q_next.total() <= 100.0 + 1e-9
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    instances(sizes=tiny_sizes),
+    st.sampled_from([1.0, 10.0, 100.0]),
+    st.sampled_from([0.1, 1.0]),
+)
+def test_dinkelbach_lambda_is_monotone_and_ends_within_tolerance(instance, q_max, circuit):
+    cfg, _, _, _ = instance
+    _, _, _, trace = maximize_ee(cfg, 1.0, q_max, circuit_power=circuit)
+    lams = trace.lambda_sequence
+    assert all(b >= a for a, b in zip(lams, lams[1:])), lams
+    assert trace.converged
+    assert trace.epsilons[-1] <= SolveOptions().ee_tol
 
 
 @PROPERTY
