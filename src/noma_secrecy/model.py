@@ -2,8 +2,7 @@
 
 All arithmetic inside the library is linear scale (watts for powers,
 dimensionless channel gains); dB conversion happens only at the CLI
-boundary. Every type here is immutable after construction so instances
-can be shared freely across parallel workers.
+boundary. Every type here is immutable after construction.
 
 Index conventions:
     * clusters are indexed m = 0..M-1,
@@ -11,6 +10,10 @@ Index conventions:
       strongest user (large-scale gains sorted non-increasing),
     * downlink power rows carry the artificial-noise slot at position 0,
       so row m has length K_m + 1 and row[1 + k] is user k's power.
+
+UplinkPower, DownlinkPower and EstimationQuality each hold one read-only
+buffer in the flat layout of SystemConfig: `.flat()` returns it, and the
+per-cluster rows `.p`, `.q` and `.rho` are views of it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,8 +60,9 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _ragged(rows) -> tuple[np.ndarray, ...]:
-    return tuple(_readonly(np.atleast_1d(r)) for r in rows)
+def _cut(x: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """Consecutive views of x along its first axis, of the given lengths."""
+    return tuple(x[end - k : end] for k, end in zip(sizes, accumulate(sizes)))
 
 
 @dataclass(frozen=True)
@@ -145,15 +150,10 @@ class SystemConfig:
         """Large-scale gain of each user."""
         return _readonly(np.concatenate([c.betas for c in self.clusters]))
 
-    @cached_property
-    def _user_bounds(self) -> tuple[tuple[int, int], ...]:
-        ends = np.cumsum(self.users_per_cluster).tolist()
-        return tuple(zip([0] + ends[:-1], ends))
-
     def split_users(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Cut a flat per-user vector (or the rows of an array) into
         per-cluster views."""
-        return tuple(flat[start:end] for start, end in self._user_bounds)
+        return _cut(flat, self.users_per_cluster)
 
     def cluster_totals(self, flat: np.ndarray) -> np.ndarray:
         """For each user, the sum of a flat per-user vector over its own
@@ -224,97 +224,104 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-class _RaggedPower:
-    """Shared helpers for ragged per-cluster power containers."""
+def _check(sizes, rules) -> None:
+    """Raise ValueError for the first broken rule, naming the cluster of its
+    first bad entry; a rule is (mask of the valid entries, message)."""
+    for ok, message in rules:
+        if not ok.all():
+            raise ValueError(message % np.searchsorted(np.cumsum(sizes), ok.argmin(), "right"))
 
-    _rows_attr = ""
 
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        return getattr(self, self._rows_attr)
+class _FlatRows:
+    """A read-only float buffer in layout order; the field `_field` holds its
+    per-cluster rows as views, each with `_extra` slots before the users,
+    and `_name` words the checks."""
+
+    _field, _name, _extra = "", "", 0
+
+    def __post_init__(self):
+        rows = [np.atleast_1d(np.asarray(r, dtype=float)) for r in getattr(self, self._field)]
+        self._adopt(np.concatenate(rows), tuple(r.size for r in rows))
+
+    @classmethod
+    def from_flat(cls, cfg: SystemConfig, flat):
+        """Wrap a copy of a flat vector in layout order."""
+        flat = np.array(flat, dtype=float)
+        sizes = tuple(k + cls._extra for k in cfg.users_per_cluster)
+        if flat.shape != (sum(sizes),):
+            raise ValueError("flat vector has wrong length %d" % flat.size)
+        return cls._wrap(flat, sizes)
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, sizes: tuple[int, ...]):
+        self = object.__new__(cls)
+        self._adopt(flat, sizes)
+        return self
+
+    def _adopt(self, flat: np.ndarray, sizes: tuple[int, ...]) -> None:
+        _check(sizes, self._rules(flat))
+        flat.setflags(write=False)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, self._field, _cut(flat, sizes))
+
+    def _rules(self, flat: np.ndarray):
+        return [(np.isfinite(flat), self._name + " must be finite (cluster %d)"),
+                (flat >= 0.0, self._name + " must be nonnegative (cluster %d)")]
 
     def flat(self) -> np.ndarray:
-        """Concatenate cluster rows into one vector (solver layout)."""
-        return np.concatenate([np.asarray(r) for r in self._rows()])
+        """The buffer itself (read-only, not a copy)."""
+        return self._flat
 
     def total(self) -> float:
-        return float(sum(r.sum() for r in self._rows()))
+        """Row sums added in cluster order, which the output bytes rely on."""
+        return float(sum(r.sum() for r in getattr(self, self._field)))
 
 
 @dataclass(frozen=True)
-class UplinkPower(_RaggedPower):
+class UplinkPower(_FlatRows):
     """Per-user uplink training powers, one row per cluster."""
 
     p: tuple[np.ndarray, ...]
 
-    _rows_attr = "p"
-
-    def __post_init__(self):
-        rows = _ragged(self.p)
-        for m, r in enumerate(rows):
-            if not np.all(np.isfinite(r)):
-                raise ValueError("uplink power must be finite (cluster %d)" % m)
-            if np.any(r < 0.0):
-                raise ValueError("uplink power must be nonnegative (cluster %d)" % m)
-        object.__setattr__(self, "p", rows)
+    _field, _name = "p", "uplink power"
 
     @classmethod
     def full(cls, cfg: SystemConfig, value) -> "UplinkPower":
-        """Every user at `value`; accepts a scalar or a ragged per-user spec."""
-        if np.isscalar(value):
-            return cls(tuple(np.full(k, float(value)) for k in cfg.users_per_cluster))
-        return cls(tuple(np.asarray(v, dtype=float) for v in value))
+        """Every user at `value`: a scalar, or ragged rows of the layout's sizes."""
+        return cls._full(cfg.users_per_cluster, value)
 
     @classmethod
-    def from_flat(cls, cfg: SystemConfig, flat) -> "UplinkPower":
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != cfg.total_users:
-            raise ValueError("flat vector has wrong length %d" % flat.size)
-        return cls(cfg.split_users(flat))
+    def _full(cls, sizes: tuple[int, ...], value) -> "UplinkPower":
+        if np.isscalar(value):
+            return cls._wrap(np.full(sum(sizes), float(value)), sizes)
+        power = cls(tuple(value))
+        if tuple(r.size for r in power.p) != sizes:
+            raise ValueError("per-user spec rows must have sizes %s" % (sizes,))
+        return power
 
     def check_budget(self, p_max) -> None:
-        caps = UplinkPower.full_like(self, p_max)
-        for m, (row, cap) in enumerate(zip(self.p, caps.p)):
-            if np.any(row > cap + 1e-12):
-                raise ValueError("uplink power exceeds its cap in cluster %d" % m)
-
-    @classmethod
-    def full_like(cls, other: "UplinkPower", value) -> "UplinkPower":
-        if np.isscalar(value):
-            return cls(tuple(np.full(r.size, float(value)) for r in other.p))
-        return cls(tuple(np.asarray(v, dtype=float) for v in value))
+        sizes = tuple(r.size for r in self.p)
+        over = self._flat > self._full(sizes, p_max).flat() + 1e-12
+        _check(sizes, [(~over, "uplink power exceeds its cap in cluster %d")])
 
 
 @dataclass(frozen=True)
-class DownlinkPower(_RaggedPower):
+class DownlinkPower(_FlatRows):
     """Downlink transmit powers; row m is [AN slot, user 0, ..., user K_m-1]."""
 
     q: tuple[np.ndarray, ...]
 
-    _rows_attr = "q"
+    _field, _name, _extra = "q", "downlink power", 1
 
-    def __post_init__(self):
-        rows = _ragged(self.q)
-        for m, r in enumerate(rows):
-            if r.size < 2:
-                raise ValueError(
-                    "downlink row %d needs an AN slot plus at least one user" % m
-                )
-            if not np.all(np.isfinite(r)):
-                raise ValueError("downlink power must be finite (cluster %d)" % m)
-            if np.any(r < 0.0):
-                raise ValueError("downlink power must be nonnegative (cluster %d)" % m)
-        object.__setattr__(self, "q", rows)
+    def _adopt(self, flat: np.ndarray, sizes: tuple[int, ...]) -> None:
+        short = [m for m, k in enumerate(sizes) if k < 2]
+        if short:
+            raise ValueError("downlink row %d needs an AN slot plus at least one user" % short[0])
+        super()._adopt(flat, sizes)
 
     @classmethod
     def zeros(cls, cfg: SystemConfig) -> "DownlinkPower":
-        return cls(tuple(np.zeros(k + 1) for k in cfg.users_per_cluster))
-
-    @classmethod
-    def from_flat(cls, cfg: SystemConfig, flat) -> "DownlinkPower":
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != cfg.total_users + cfg.n_clusters:
-            raise ValueError("flat vector has wrong length %d" % flat.size)
-        return cls(tuple(np.split(flat, cfg.slot_offsets[1:])))
+        return cls.from_flat(cfg, np.zeros(cfg.total_users + cfg.n_clusters))
 
     def an(self, m: int) -> float:
         return float(self.q[m][0])
@@ -336,18 +343,16 @@ class DownlinkPower(_RaggedPower):
 
 
 @dataclass(frozen=True)
-class EstimationQuality:
+class EstimationQuality(_FlatRows):
     """Fraction of each user's channel energy captured by its cluster
     estimate; 1 - rho is the estimation-error power."""
 
     rho: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        rows = _ragged(self.rho)
-        for m, r in enumerate(rows):
-            if np.any(r < 0.0) or np.any(r >= 1.0):
-                raise ValueError("rho must lie in [0, 1) (cluster %d)" % m)
-        object.__setattr__(self, "rho", rows)
+    _field = "rho"
+
+    def _rules(self, flat: np.ndarray):
+        return [((flat >= 0.0) & (flat < 1.0), "rho must lie in [0, 1) (cluster %d)")]
 
 
 def compute_rho(cfg: SystemConfig, p: UplinkPower) -> EstimationQuality:
@@ -358,4 +363,4 @@ def compute_rho(cfg: SystemConfig, p: UplinkPower) -> EstimationQuality:
     """
     energy = p.flat() * cfg.flat_betas * cfg.pilot_len
     rho = energy / (1.0 + cfg.cluster_totals(energy))
-    return EstimationQuality(cfg.split_users(rho))
+    return EstimationQuality._wrap(rho, cfg.users_per_cluster)

@@ -273,9 +273,7 @@ def reduce_moments(
     stats: list[MomentStat] = []
     # The assembled terms are predicted by the closed form that `rates`
     # and the solvers use.
-    kappa, im1, im2, im3, _, _ = _user_terms(
-        cfg, np.concatenate(rho.rho), q.flat(), exact_gain=True
-    )
+    kappa, im1, im2, im3, _, _ = _user_terms(cfg, rho.flat(), q.flat(), exact_gain=True)
 
     def add(name, m, k, samples, predicted):
         mean, se = _mean_se(samples)
@@ -360,7 +358,7 @@ def error_decomposition_check(
     # With h_unit = h_hat / sqrt(rho_tot) and eps = (h - sqrt(r) h_unit) /
     # sqrt(1 - r): <h_unit, eps> = (<h_hat, h> / sqrt(rho_tot) - sqrt(r)
     # ||h_hat||^2 / rho_tot) / sqrt(1 - r); zero where eps is undefined.
-    r_u = np.concatenate(rho.rho)
+    r_u = rho.flat()
     tot_u = np.array([r.sum() for r in rho.rho])[cluster_of]
     with np.errstate(divide="ignore", invalid="ignore"):
         along = corr / np.sqrt(tot_u) - np.sqrt(r_u) * norm_sq[:, cluster_of] / tot_u

@@ -111,7 +111,7 @@ def _downlink_coeffs(cfg: SystemConfig, rho: EstimationQuality):
     """b1, b2, b3 of every user, flat."""
     nt = cfg.n_antennas
     beta = cfg.flat_betas
-    r = np.concatenate(rho.rho)
+    r = rho.flat()
     return r * beta * nt, beta * (1.0 - r), beta * (r * nt + 1.0 - r)
 
 
@@ -354,7 +354,7 @@ def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> f
     """Unclamped sum of per-user (legitimate - eavesdropping) rates; the
     quantity the DC solvers actually maximize."""
     rho = compute_rho(cfg, p)
-    legit, eaves = _flat_rates(cfg, np.concatenate(rho.rho), q.flat())
+    legit, eaves = _flat_rates(cfg, rho.flat(), q.flat())
     return float((legit - eaves).sum())
 
 
@@ -449,13 +449,9 @@ def baseline_fixed(
     if not 0.0 <= an_fraction < 1.0:
         raise ValueError("an_fraction must lie in [0, 1)")
     p = UplinkPower.full(cfg, p_max)
-    user_power = (1.0 - an_fraction) * q_max / cfg.total_users
-    an_power = an_fraction * q_max / cfg.n_clusters
-    rows = [
-        np.concatenate(([an_power], np.full(k, user_power)))
-        for k in cfg.users_per_cluster
-    ]
-    return p, DownlinkPower(tuple(rows))
+    q = np.full(cfg.total_users + cfg.n_clusters, (1.0 - an_fraction) * q_max / cfg.total_users)
+    q[cfg.slot_offsets] = an_fraction * q_max / cfg.n_clusters
+    return p, DownlinkPower.from_flat(cfg, q)
 
 
 def maximize_se(

@@ -68,6 +68,8 @@ def _project_capped_simplex(x: np.ndarray, cap: float) -> np.ndarray:
     excess = np.cumsum(u) - cap
     counts = np.arange(1, x.size + 1)
     active = u - excess / counts > 0.0
+    # The largest entry is in the support; its test fails at cap = 0 or below its ulp.
+    active[0] = True
     r = int(np.nonzero(active)[0][-1]) + 1
     theta = excess[r - 1] / r
     return np.maximum(x - theta, 0.0)

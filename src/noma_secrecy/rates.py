@@ -154,7 +154,7 @@ def sinr_terms(
 ) -> SinrDecomposition:
     """Signal/interference decomposition for user k of cluster m."""
     u = _user_index(cfg, m, k)
-    terms = _user_terms(cfg, np.concatenate(rho.rho), q.flat(), exact_gain)
+    terms = _user_terms(cfg, rho.flat(), q.flat(), exact_gain)
     kappa, im1, im2, im3 = (float(t[u]) for t in terms[:4])
     return SinrDecomposition(kappa=kappa, im1=im1, im2=im2, im3=im3)
 
@@ -169,7 +169,7 @@ def legit_rate(
 ) -> float:
     """Average achievable rate of user (m, k) in bits/s/Hz."""
     u = _user_index(cfg, m, k)
-    return float(_flat_rates(cfg, np.concatenate(rho.rho), q.flat(), exact_gain)[0][u])
+    return float(_flat_rates(cfg, rho.flat(), q.flat(), exact_gain)[0][u])
 
 
 def eaves_rate(cfg: SystemConfig, q: DownlinkPower, m: int, k: int) -> float:
@@ -191,7 +191,7 @@ def secrecy_report(
 ) -> RateReport:
     """Per-user secrecy rates [legit - eaves]^+ and their sum."""
     rho = compute_rho(cfg, p)
-    legit, eaves = _flat_rates(cfg, np.concatenate(rho.rho), q.flat(), exact_gain)
+    legit, eaves = _flat_rates(cfg, rho.flat(), q.flat(), exact_gain)
     secrecy = np.maximum(legit - eaves, 0.0)
     return RateReport(
         legit=cfg.split_users(legit),
@@ -236,9 +236,7 @@ def asymptotic_high_power(
     if abs(total - 1.0) > 1e-9:
         raise ValueError("power fractions must sum to 1, got %.12g" % total)
     # The finite-power terms without the noise term; beta cancels.
-    kappa, im1, im2, im3, e_sig, e_int = _user_terms(
-        cfg, np.concatenate(rho.rho), fractions.flat()
-    )
+    kappa, im1, im2, im3, e_sig, e_int = _user_terms(cfg, rho.flat(), fractions.flat())
     den = im1 + im2 + im3
     if np.any(den == 0.0):
         raise ZeroDivisionError("rate limit is 0/0: a user with a zero share sees no interference")

@@ -6,6 +6,7 @@ import pytest
 from noma_secrecy.model import (
     ClusterConfig,
     DownlinkPower,
+    EstimationQuality,
     SystemConfig,
     UplinkPower,
     compute_rho,
@@ -13,6 +14,7 @@ from noma_secrecy.model import (
     linear_to_db,
     validate_config,
 )
+from noma_secrecy.optimize import maximize_se
 
 
 def make_cfg(betas, n_antennas=64, pilot_len=None, coherence_len=300, eav_gain=10.0):
@@ -188,3 +190,33 @@ class TestNonFiniteInput:
             UplinkPower((np.array([0.5, bad]),))
         with pytest.raises(ValueError, match="downlink power must be finite"):
             DownlinkPower((np.array([0.5, 1.0]), np.array([bad, 1.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rho(self, bad):
+        # NaN fails both `< 0` and `>= 1`, so a test for out-of-range
+        # values lets it in.
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\) \(cluster 1\)"):
+            EstimationQuality(([0.1], [bad, 0.2]))
+
+
+class TestLayoutSizes:
+    def test_full_rejects_rows_of_another_layout(self):
+        cfg = make_cfg([[3.0, 2.0, 1.0]])
+        with pytest.raises(ValueError, match="sizes"):
+            UplinkPower.full(cfg, [[0.5]])
+        with pytest.raises(ValueError, match="sizes"):
+            UplinkPower.full(cfg, [[0.5, 0.5], [0.5]])
+        p = UplinkPower.full(cfg, [[0.5, 0.25, 0.125]])
+        np.testing.assert_array_equal(p.flat(), [0.5, 0.25, 0.125])
+
+    def test_solver_rejects_a_cap_of_another_layout(self):
+        with pytest.raises(ValueError, match="sizes"):
+            maximize_se(make_cfg([[3.0, 2.0, 1.0]]), [[0.5]], 10.0)
+
+    def test_budget_check_rejects_a_cap_of_other_sizes(self):
+        p = UplinkPower(([0.5, 1.0],))
+        with pytest.raises(ValueError, match="sizes"):
+            p.check_budget([[1.0]])
+        p.check_budget([[0.5, 1.0]])
+        with pytest.raises(ValueError, match="cap in cluster 1"):
+            UplinkPower(([0.5], [0.5, 1.0])).check_budget([[1.0], [1.0, 0.75]])

@@ -29,6 +29,14 @@ class TestProjection:
             project(CappedSimplex(5.0), [0.5, -0.3, 0.8]), [0.5, 0.0, 0.8]
         )
 
+    @pytest.mark.parametrize("cap", [0.0, 1e-300])
+    def test_capped_simplex_cap_below_every_entry(self, cap):
+        # The largest entry's support test reads 0 > 0: exactly at cap = 0,
+        # by rounding at 1e-300.
+        once = project(CappedSimplex(cap), [1.0, 2.0, -1.0])
+        assert once.min() >= 0.0 and once.sum() <= cap
+        np.testing.assert_array_equal(project(CappedSimplex(cap), once), once)
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         sets = [Box(lower=-np.ones(6), upper=np.ones(6)), CappedSimplex(2.5)]

@@ -9,13 +9,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_validate
 from noma_secrecy.model import (
     ClusterConfig,
     DownlinkPower,
+    EstimationQuality,
     SystemConfig,
     UplinkPower,
     compute_rho,
@@ -40,7 +41,7 @@ from noma_secrecy.optimize import (
     smooth_secrecy_sum,
     uplink_dc_step,
 )
-from noma_secrecy.projgrad import finite_difference_gradient
+from noma_secrecy.projgrad import Box, CappedSimplex, finite_difference_gradient, project
 from noma_secrecy.rates import (
     chi_mean,
     eaves_rate,
@@ -367,3 +368,62 @@ def test_trial_tables_equal_per_cluster_pipeline(instance, n_trials, seed):
         ("own", "beam", "an", "eave_beam", "eave_an", "estimate_norm"), expected
     ):
         assert np.array_equal(getattr(tables, name), table), name
+
+
+@PROPERTY
+@given(instances(sizes=big_ragged_sizes))
+def test_allocations_are_row_views_of_one_read_only_buffer(instance):
+    cfg, _, _, rng = instance
+    users = cfg.users_per_cluster
+
+    def spread(n, top):
+        # Magnitudes over many decades, so a change in the order of the
+        # additions in total() shows in its last bits.
+        return rng.uniform(0.5, 1.0, n) * 10.0 ** rng.uniform(-8.0, top, n)
+
+    for cls, field, sizes, top in (
+        (UplinkPower, "p", users, 8.0),
+        (DownlinkPower, "q", tuple(k + 1 for k in users), 8.0),
+        (EstimationQuality, "rho", users, -0.5),
+    ):
+        x = spread(sum(sizes), top)
+        copies = [np.array(r) for r in np.split(x, np.cumsum(sizes)[:-1])]
+        for made in (cls.from_flat(cfg, x), cls(tuple(copies))):
+            flat, rows = made.flat(), getattr(made, field)
+            assert flat is made.flat() and flat.tobytes() == x.tobytes()
+            assert [r.size for r in rows] == list(sizes)
+            assert all(np.shares_memory(r, flat) for r in rows)
+            assert made.total() == float(sum(r.sum() for r in copies))
+            for view in (flat, *rows):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[-1] = 0.0
+        assert x.flags.writeable  # from_flat wrapped a copy
+
+
+coordinates = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12)
+
+
+@PROPERTY
+@given(coordinates, st.data())
+def test_box_projection_is_idempotent(x, data):
+    bounds = st.lists(st.floats(-5.0, 5.0), min_size=len(x), max_size=len(x))
+    lower = np.array(data.draw(bounds))
+    box = Box(lower=lower, upper=lower + np.abs(data.draw(bounds)))
+    once = project(box, x)
+    assert np.all((box.lower <= once) & (once <= box.upper))
+    assert np.array_equal(project(box, once), once)
+
+
+@PROPERTY
+@given(coordinates, st.floats(0.0, 1.0), st.booleans())
+def test_capped_simplex_projection_is_idempotent(x, share, active):
+    positive = float(np.maximum(x, 0.0).sum())
+    # An active cap lies below the clipped sum, an inactive one at or above it.
+    assume(positive > 0.0 or not active)
+    cap = share * positive if active else positive + share
+    assume(not active or cap < positive)
+    once = project(CappedSimplex(cap), x)
+    assert once.min() >= 0.0 and once.sum() <= cap + 1e-12
+    if not active:
+        assert np.array_equal(once, np.maximum(x, 0.0))
+    np.testing.assert_allclose(project(CappedSimplex(cap), once), once, rtol=0.0, atol=1e-12)
