@@ -3,15 +3,27 @@ pilot reception, MMSE estimation of the effective cluster channels, MRT
 precoding, null-space artificial-noise injection and downlink reception.
 
 Provides empirical oracles for every closed-form average in
-:mod:`noma_secrecy.rates`, all on one trial loop. :func:`simulate_trials`
-keeps per-trial inner-product tables for :func:`reduce_moments` and
-:func:`reduce_rates`. Each step of a trial makes at most one standard_normal
-call and works on stacked arrays: users in the flat layout, one row per cluster.
-Determinism contract: the engine takes an integer seed and derives one
-independent RNG substream per trial index; per-trial results are stored
-and reduced in a fixed order, so a given (seed, n_trials) pair is
-bit-stable regardless of how trials are scheduled, and every oracle
-called with the same pair sees the same trials.
+:mod:`noma_secrecy.rates`. :func:`simulate_trials` keeps per-trial
+inner-product tables for :func:`reduce_moments` and :func:`reduce_rates`.
+
+The engine runs trials in chunks of at most ``_CHUNK_TRIALS``. Each trial
+has its own generator, ``SeedSequence(seed, spawn_key=(trial,))``, which
+makes three standard_normal calls in a fixed order: the channel
+realization, the pilot noise and the AN draw. Each call writes into one
+array for the whole chunk, trial index first. Estimation, MRT precoding,
+AN projection and the inner products then run once over the chunk, with
+users in the flat layout and one row per cluster; every norm and
+projection adds along the contiguous last axis, as one trial alone would.
+An AN draw that projects to (nearly) zero is drawn again from its own
+trial's generator, after that trial's three calls. The single-trial
+functions (:func:`draw_realization`, :func:`mmse_estimate`,
+:func:`mrt_precoder`, :func:`an_vector`) share this arithmetic.
+
+Determinism contract: a given (seed, n_trials) pair gives the same table
+bytes whatever the chunk size and however trials are scheduled, since
+every random number comes from its trial's own substream and every
+per-trial value is computed in the same order; every oracle called with
+the same pair sees the same trials.
 
 Distributions: small-scale fading vectors h_{m,k} and the eavesdropper
 vector g have i.i.d. unit-variance complex-normal entries. Pilot noise
@@ -25,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,16 +63,25 @@ __all__ = [
     "reduce_rates",
 ]
 
+# Trials per chunk: the chunk arrays and the generators held at once grow
+# with it, and validate's peak memory with them.
+_CHUNK_TRIALS = 16
 
-def _cn_rows(rng: np.random.Generator, counts, n: int) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex normal rows of length n in
-    blocks of counts[b] rows, from one standard_normal call: block by
-    block, each block's real parts first, then its imaginary parts."""
+
+def _cn(raw: np.ndarray, counts) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex normal rows from the
+    standard normals raw (..., 2 * sum(counts), n), in blocks of counts[b]
+    rows: block by block, each block's real parts first, then its
+    imaginary parts."""
     counts = np.array(counts)
     sizes = counts.repeat(counts)
     re_row = np.arange(sizes.size) + (counts.cumsum() - counts).repeat(counts)
-    raw = rng.standard_normal((2 * sizes.size, n))
-    return (raw[re_row] + 1j * raw[re_row + sizes]) / math.sqrt(2.0)
+    return (raw[..., re_row, :] + 1j * raw[..., re_row + sizes, :]) / math.sqrt(2.0)
+
+
+def _cn_rows(rng: np.random.Generator, counts, n: int) -> np.ndarray:
+    """:func:`_cn` rows of length n from one standard_normal call."""
+    return _cn(rng.standard_normal((2 * sum(counts), n)), counts)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -72,6 +94,94 @@ def _trial_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
     time: a list of 2000 of them holds about 6 MB."""
     for i in range(n_trials):
         yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+def _layouts(cfg: SystemConfig) -> tuple[tuple[int, ...], ...]:
+    """Block layouts of a trial's three draws: the realization (users in
+    the flat layout, then g), the pilot noise and the AN draw (one row per
+    cluster each)."""
+    per_cluster = (1,) * cfg.n_clusters
+    return cfg.users_per_cluster + (1,), per_cluster, per_cluster
+
+
+def _estimate(cfg: SystemConfig, p: UplinkPower, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """MMSE estimates (..., M, N) from the user channels h (..., U, N) in
+    the flat layout and the pilot noise y (..., M, N), which is added to
+    in place."""
+    total = np.empty(cfg.n_clusters)
+    # Cluster by cluster: np.add.reduceat sums clusters of three or more
+    # users in another order, and these bytes reach the validate output.
+    for m, (lo, k) in enumerate(zip(cfg.user_offsets.tolist(), cfg.users_per_cluster)):
+        energy = p.p[m] * cfg.beta(m) * cfg.pilot_len
+        y[..., m, :] += (np.sqrt(energy)[:, None] * h[..., lo : lo + k, :]).sum(axis=-2)
+        total[m] = energy.sum()
+    return (np.sqrt(total) / (1.0 + total))[:, None] * y
+
+
+def _unit_beams(h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of the estimates (..., M, N) and the unit MRT beams;
+    ValueError naming the first cluster whose estimate is zero."""
+    norm = _row_norms(h_hat)
+    if not norm.all():
+        cluster = np.argwhere(norm == 0.0)[0, -1]
+        raise ValueError("cluster %d estimate is the zero vector (no pilot power?)" % cluster)
+    return norm, h_hat / norm[..., None]
+
+
+def _check_null_space(n_antennas: int) -> None:
+    if n_antennas < 2:
+        raise ValueError("AN needs at least 2 antennas (null space is empty)")
+
+
+def _project_out(h_hat, norm_sq, v) -> tuple[np.ndarray, np.ndarray]:
+    """v minus its component along h_hat (squared norms norm_sq), scaled
+    to unit norm, row by row; and whether each row kept a norm > 1e-9."""
+    v -= h_hat * (np.vecdot(h_hat, v) / norm_sq)[..., None]
+    vnorm = _row_norms(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return v / vnorm[..., None], vnorm > 1e-9
+
+
+def _an_directions(h_hat: np.ndarray, v: np.ndarray, rngs) -> np.ndarray:
+    """Isotropic unit-norm AN directions in the null space of each
+    estimate of h_hat (T, M, N), from the draws v of the same shape. A
+    draw that projects to (nearly) zero is drawn again from its trial's
+    generator rngs[t], for its cluster only."""
+    norm_sq = np.vecdot(h_hat, h_hat).real
+    norm_sq[norm_sq == 0.0] = np.inf  # a zero estimate has nothing to project out
+    z, ok = _project_out(h_hat, norm_sq, v)
+    for t in np.flatnonzero(~ok.all(axis=-1)):
+        todo = np.flatnonzero(~ok[t])
+        while todo.size:
+            redraw = _cn_rows(rngs[t], (1,) * todo.size, h_hat.shape[-1])
+            z_t, ok_t = _project_out(h_hat[t, todo], norm_sq[t, todo], redraw)
+            z[t, todo[ok_t]] = z_t[ok_t]
+            todo = todo[~ok_t]
+    return z
+
+
+def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) -> list:
+    """The one trial loop. Trials run in chunks of at most _CHUNK_TRIALS,
+    each on its own substream; run(rngs, *rows) gets the chunk's
+    generators and the complex rows of the first n_draws of each trial's
+    draws (see :func:`_layouts`), trial index first, and returns tables
+    with the trial index first, which are stacked across chunks."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    layouts = _layouts(cfg)[:n_draws]
+    streams = _trial_streams(seed, n_trials)
+    for start in range(0, n_trials, _CHUNK_TRIALS):
+        rngs = list(islice(streams, _CHUNK_TRIALS))
+        raws = [np.empty((len(rngs), 2 * sum(c), cfg.n_antennas)) for c in layouts]
+        for t, rng in enumerate(rngs):
+            for raw in raws:
+                rng.standard_normal(out=raw[t])
+        rows = run(rngs, *(_cn(raw, c) for raw, c in zip(raws, layouts)))
+        if start == 0:
+            tables = [np.empty((n_trials,) + r.shape[1:], r.dtype) for r in rows]
+        for table, r in zip(tables, rows):
+            table[start : start + len(rngs)] = r
+    return tables
 
 
 @dataclass(frozen=True)
@@ -96,7 +206,7 @@ class EstimateSet:
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    rows = _cn_rows(rng, cfg.users_per_cluster + (1,), cfg.n_antennas)
+    rows = _cn_rows(rng, _layouts(cfg)[0], cfg.n_antennas)
     return ChannelRealization(h=cfg.split_users(rows[:-1]), g=rows[-1])
 
 
@@ -112,24 +222,14 @@ def mmse_estimate(
     with unit-variance pilot noise n; the estimate scales it by
     sqrt(S_m) / (1 + S_m) where S_m = sum_k P beta tau.
     """
-    y = _cn_rows(rng, (1,) * cfg.n_clusters, cfg.n_antennas)  # pilot noise
-    total = np.empty(cfg.n_clusters)
-    # Cluster by cluster: np.add.reduceat sums clusters of three or more
-    # users in another order, and these bytes reach the validate output.
-    for m, h in enumerate(realization.h):
-        energy = p.p[m] * cfg.beta(m) * cfg.pilot_len
-        y[m] += (np.sqrt(energy)[:, None] * h).sum(axis=0)
-        total[m] = energy.sum()
-    return EstimateSet(h_hat=(np.sqrt(total) / (1.0 + total))[:, None] * y)
+    y = _cn_rows(rng, _layouts(cfg)[1], cfg.n_antennas)  # pilot noise
+    return EstimateSet(h_hat=_estimate(cfg, p, np.concatenate(realization.h), y))
 
 
 def mrt_precoder(estimates: EstimateSet) -> EstimateSet:
     """Match each beam to its estimated cluster channel (unit norm)."""
     h_hat = np.asarray(estimates.h_hat)
-    norm = _row_norms(h_hat)
-    if not norm.all():
-        raise ValueError("cluster %d estimate is the zero vector (no pilot power?)" % norm.argmin())
-    return EstimateSet(h_hat=h_hat, w=h_hat / norm[:, None], z=estimates.z)
+    return EstimateSet(h_hat=h_hat, w=_unit_beams(h_hat)[1], z=estimates.z)
 
 
 def an_vector(estimates: EstimateSet, rng: np.random.Generator) -> EstimateSet:
@@ -141,20 +241,9 @@ def an_vector(estimates: EstimateSet, rng: np.random.Generator) -> EstimateSet:
     (nearly) zero is drawn again, for its cluster only.
     """
     h_hat = np.asarray(estimates.h_hat)
-    if h_hat.shape[1] < 2:
-        raise ValueError("AN needs at least 2 antennas (null space is empty)")
-    norm_sq = np.vecdot(h_hat, h_hat).real
-    norm_sq[norm_sq == 0.0] = np.inf  # a zero estimate has nothing to project out
-    z = np.empty_like(h_hat)
-    todo = np.arange(h_hat.shape[0])
-    while todo.size:
-        hh = h_hat[todo]
-        v = _cn_rows(rng, (1,) * todo.size, h_hat.shape[1])
-        v -= hh * (np.vecdot(hh, v) / norm_sq[todo])[:, None]
-        vnorm = _row_norms(v)
-        ok = vnorm > 1e-9
-        z[todo[ok]] = v[ok] / vnorm[ok, None]
-        todo = todo[~ok]
+    _check_null_space(h_hat.shape[1])
+    v = _cn_rows(rng, (1,) * h_hat.shape[0], h_hat.shape[1])
+    z = _an_directions(h_hat[None], v[None], [rng])[0]
     return EstimateSet(h_hat=h_hat, w=estimates.w, z=z)
 
 
@@ -168,20 +257,6 @@ def build_estimates(
     est = mmse_estimate(cfg, p, realization, rng)
     est = mrt_precoder(est)
     return an_vector(est, rng)
-
-
-def _trial_loop(cfg: SystemConfig, n_trials: int, seed: int, trial) -> list[np.ndarray]:
-    """The one trial loop: trial(realization, rng) on each trial's own
-    substream, its rows stacked across trials, trial index first."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    for t, rng in enumerate(_trial_streams(seed, n_trials)):
-        rows = trial(draw_realization(cfg, rng), rng)
-        if t == 0:
-            tables = [np.empty((n_trials,) + np.shape(r), np.result_type(r)) for r in rows]
-        for table, row in zip(tables, rows):
-            table[t] = row
-    return tables
 
 
 @dataclass(frozen=True)
@@ -227,24 +302,28 @@ class TrialTables:
 
 
 def simulate_trials(cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int) -> TrialTables:
-    """Run the pipeline once per trial and keep only its inner products,
-    which :func:`reduce_moments` and :func:`reduce_rates` reduce."""
-    own_idx = (np.arange(cfg.total_users), cfg.cluster_of)
+    """Run the pipeline over chunks of trials and keep only each trial's
+    inner products, which :func:`reduce_moments` and :func:`reduce_rates`
+    reduce."""
+    _check_null_space(cfg.n_antennas)
+    users = np.arange(cfg.total_users)
 
-    def trial(real, rng):
-        est = build_estimates(cfg, p, real, rng)
-        h_conj, g_conj = np.concatenate(real.h).conj(), real.g.conj()
-        dots_w = h_conj @ est.w.T  # h_{m,k}^H w_j
+    def chunk(rngs, rows, y, v):
+        h_hat = _estimate(cfg, p, rows[:, :-1], y)
+        norm, w = _unit_beams(h_hat)
+        z = _an_directions(h_hat, v, rngs)
+        h_conj, g_conj = rows[:, :-1].conj(), rows[:, -1].conj()
+        dots_w = h_conj @ w.transpose(0, 2, 1)  # h_{m,k}^H w_j
         return (
-            dots_w[own_idx],
+            dots_w[:, users, cfg.cluster_of],
             np.abs(dots_w) ** 2,
-            np.abs(h_conj @ est.z.T) ** 2,
-            np.abs(est.w @ g_conj) ** 2,
-            np.abs(est.z @ g_conj) ** 2,
-            _row_norms(est.h_hat),
+            np.abs(h_conj @ z.transpose(0, 2, 1)) ** 2,
+            np.abs(w @ g_conj[..., None])[..., 0] ** 2,
+            np.abs(z @ g_conj[..., None])[..., 0] ** 2,
+            norm,
         )
 
-    return TrialTables(*_trial_loop(cfg, n_trials, seed, trial))
+    return TrialTables(*_chunk_loop(cfg, n_trials, seed, 3, chunk))
 
 
 def moment_suite(
@@ -349,11 +428,12 @@ def error_decomposition_check(
     rho = compute_rho(cfg, p)
     cluster_of = cfg.cluster_of
 
-    def trial(real, rng):
-        h_hat = mmse_estimate(cfg, p, real, rng).h_hat
-        return np.vecdot(h_hat[cluster_of], np.concatenate(real.h)), np.vecdot(h_hat, h_hat).real
+    def chunk(rngs, rows, y):
+        h = rows[:, :-1]
+        h_hat = _estimate(cfg, p, h, y)
+        return np.vecdot(h_hat[:, cluster_of], h), np.vecdot(h_hat, h_hat).real
 
-    corr, norm_sq = _trial_loop(cfg, n_trials, seed, trial)
+    corr, norm_sq = _chunk_loop(cfg, n_trials, seed, 2, chunk)
 
     # With h_unit = h_hat / sqrt(rho_tot) and eps = (h - sqrt(r) h_unit) /
     # sqrt(1 - r): <h_unit, eps> = (<h_hat, h> / sqrt(rho_tot) - sqrt(r)

@@ -269,7 +269,9 @@ class SolverTrace:
     the downlink- and uplink-stage objectives (sign included);
     lambda_sequence is filled by the energy-efficiency loop only.
     kernel_stops counts the projected-gradient calls of every DC step by
-    stop reason ("stationary", "floor" or "cap"; see `SolveResult`).
+    stop reason ("stationary", "floor" or "cap"; see `SolveResult`), and
+    stage_caps the DC stages that ran max_inner steps while still gaining
+    at least inner_tol per step.
     """
 
     outer_values: list[float] = field(default_factory=list)
@@ -277,6 +279,7 @@ class SolverTrace:
     epsilons: list[float] = field(default_factory=list)
     lambda_sequence: list[float] = field(default_factory=list)
     kernel_stops: Counter[str] = field(default_factory=Counter)
+    stage_caps: int = 0
     converged: bool = False
 
 
@@ -377,8 +380,9 @@ def _warn_cap_hits(solver: str, trace: SolverTrace) -> None:
 def _dc_stage(step, objective, x, start: float, options: SolveOptions, trace: SolverTrace):
     """Repeat one DC step from x, whose stage objective is `start`, until
     the objective gains less than inner_tol (converged) or max_inner steps
-    have run. Records the objective sequence in trace; returns the last
-    iterate, its objective and whether the loop converged."""
+    have run. Records the objective sequence in trace and counts a stage
+    that stops at max_inner in trace.stage_caps; returns the last iterate,
+    its objective and whether the loop converged."""
     values = [start]
     converged = False
     for _ in range(options.max_inner):
@@ -388,6 +392,12 @@ def _dc_stage(step, objective, x, start: float, options: SolveOptions, trace: So
             converged = True
             break
     trace.step_values.append(values)
+    if not converged:
+        trace.stage_caps += 1
+        log.debug(
+            "DC stage stopped at max_inner=%d steps: objective %.10g -> %.10g",
+            options.max_inner, values[0], values[-1],
+        )
     return x, values[-1], converged
 
 
@@ -521,6 +531,7 @@ def maximize_ee(
             outer_tol=options.ee_outer_tol,
         )
         trace.kernel_stops.update(round_trace.kernel_stops)
+        trace.stage_caps += round_trace.stage_caps
         se_smooth = smooth_secrecy_sum(cfg, p, q)
         denom = p.total() + q.total() + circuit_power
         f_hat = se_smooth - lam * denom

@@ -157,16 +157,19 @@ class TestValidateCommand:
 
     def test_simulates_each_trial_once(self, tmp_path, monkeypatch):
         spec = load_spec(str(write_spec(tmp_path / "spec.json", trials=25)))
-        draw = montecarlo.draw_realization
-        calls = []
+        streams = montecarlo._trial_streams
+        simulations, generators = [], []
 
-        def counting_draw(*args, **kwargs):
-            calls.append(1)
-            return draw(*args, **kwargs)
+        def counting_streams(*args, **kwargs):
+            simulations.append(args)
+            for rng in streams(*args, **kwargs):
+                generators.append(rng)
+                yield rng
 
-        monkeypatch.setattr(montecarlo, "draw_realization", counting_draw)
+        monkeypatch.setattr(montecarlo, "_trial_streams", counting_streams)
         run_validate(spec, str(tmp_path / "val.csv"))
-        assert len(calls) == spec.trials
+        assert simulations == [(spec.seed, spec.trials)]
+        assert len(generators) == spec.trials
 
     @pytest.mark.parametrize("trials", [1, 200])
     def test_band_summary_is_logged_not_printed(self, tmp_path, capsys, caplog, trials):

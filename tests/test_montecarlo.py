@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noma_secrecy import montecarlo
 from noma_secrecy.model import (
     ClusterConfig,
     DownlinkPower,
@@ -20,6 +21,7 @@ from noma_secrecy.montecarlo import (
     mmse_estimate,
     moment_suite,
     mrt_precoder,
+    simulate_trials,
 )
 from noma_secrecy.rates import chi_mean, secrecy_report
 
@@ -292,15 +294,21 @@ def test_error_decomposition_rejects_zero_trials():
 
 class ScriptedNormals:
     """Stands in for a generator: returns the given standard-normal blocks
-    in turn and records the shape of each request."""
+    in turn, or writes them into `out`, and records the shape of each
+    request."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
         self.shapes = []
 
-    def standard_normal(self, shape):
-        self.shapes.append(shape)
-        return self.draws.pop(0)
+    def standard_normal(self, shape=None, out=None):
+        block = self.draws.pop(0)
+        if out is None:
+            self.shapes.append(shape)
+            return block
+        self.shapes.append(out.shape)
+        out[...] = block
+        return out
 
 
 def test_an_redraws_only_the_direction_in_the_estimate_span():
@@ -321,3 +329,38 @@ def test_an_redraws_only_the_direction_in_the_estimate_span():
 
     np.testing.assert_allclose(z[0], expected(*second, 0), rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(z[1], expected(first[2], first[3], 1), rtol=1e-12, atol=1e-15)
+
+
+class TestSimulateTrialsBoundaries:
+    def test_zero_power_cluster_is_named(self):
+        p = UplinkPower(([0.8, 0.4], [0.0, 0.0]))
+        with pytest.raises(ValueError, match="^cluster 1 estimate is the zero vector"):
+            simulate_trials(CFG22, p, 3, seed=1)
+
+    @pytest.mark.parametrize("chunk", [4, montecarlo._CHUNK_TRIALS])
+    def test_zero_estimate_inside_a_chunk_names_its_cluster(self, monkeypatch, chunk):
+        # Trial 5 has zero cluster-1 channels (rows 4-7 of its realization
+        # draw) and zero cluster-1 pilot noise (rows 2-3), so that trial's
+        # cluster-1 estimate alone is zero; it is not the first of its chunk.
+        n = CFG22.n_antennas
+        streams = []
+        for t in range(8):
+            rng = np.random.default_rng(20 + t)
+            real, pilot, an = (rng.standard_normal((rows, n)) for rows in (10, 4, 4))
+            if t == 5:
+                real[4:8] = pilot[2:4] = 0.0
+            streams.append(ScriptedNormals(real, pilot, an))
+        monkeypatch.setattr(montecarlo, "_trial_streams", lambda seed, n_trials: iter(streams))
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
+        with pytest.raises(ValueError, match="^cluster 1 estimate is the zero vector"):
+            simulate_trials(CFG22, P22, 8, seed=1)
+
+    def test_single_antenna_fails_before_any_trial_is_drawn(self, monkeypatch):
+        cfg = make_cfg([[2.0]], n_antennas=1, pilot_len=1)
+
+        def no_streams(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(montecarlo, "_trial_streams", no_streams)
+        with pytest.raises(ValueError, match="2 antennas"):
+            simulate_trials(cfg, UplinkPower.full(cfg, 1.0), 5, seed=1)

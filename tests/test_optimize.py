@@ -451,6 +451,48 @@ class TestKernelStops:
             assert trace.kernel_stops.total() == len(kernel_stops) == len(trace.outer_values) - 1
 
 
+class TestStageCaps:
+    """With max_inner=1 every stage takes one DC step, and it is cut at
+    the cap exactly when that step gained at least inner_tol."""
+
+    OPTIONS = SolveOptions(max_inner=1)
+
+    @classmethod
+    def gaining(cls, trace):
+        return sum(v[-1] - v[-2] >= cls.OPTIONS.inner_tol for v in trace.step_values)
+
+    def test_se_counts_and_logs_each_capped_stage(self, caplog):
+        cfg = scenario(40, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_se(cfg, 1.0, 10.0, self.OPTIONS)
+        assert all(len(v) == 2 for v in trace.step_values)
+        caps = self.gaining(trace)
+        assert trace.stage_caps == caps > 0
+        stops = [r for r in caplog.records if "max_inner=1" in r.getMessage()]
+        assert len(stops) == caps and all(r.levelno == logging.DEBUG for r in stops)
+
+    def test_ee_merges_every_round(self, monkeypatch):
+        rounds = []
+        alternate = optimize_module._alternate
+
+        def recording(*args, **kwargs):
+            result = alternate(*args, **kwargs)
+            rounds.append(result[2])
+            return result
+
+        monkeypatch.setattr(optimize_module, "_alternate", recording)
+        cfg = scenario(41, m=2, k=2, nt=32)
+        _, _, _, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5, options=self.OPTIONS)
+        assert len(rounds) > 1
+        assert trace.stage_caps == sum(self.gaining(r) for r in rounds) > 0
+
+    def test_baselines_count_their_stage(self):
+        cfg = scenario(42, m=2, k=2, nt=32)
+        for solve in (baseline_downlink_se, baseline_uplink_se):
+            _, _, _, trace = solve(cfg, 1.0, 10.0, self.OPTIONS)
+            assert trace.stage_caps == self.gaining(trace) == (not trace.converged)
+
+
 class TestOmaTdma:
     def test_slots_and_average(self):
         cfg = scenario(38, m=2, k=2, nt=32)

@@ -6,12 +6,14 @@ import csv
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from noma_secrecy import montecarlo
 from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_validate
 from noma_secrecy.model import (
     ClusterConfig,
@@ -24,7 +26,9 @@ from noma_secrecy.model import (
 )
 from noma_secrecy.montecarlo import (
     _rate_samples,
+    draw_realization,
     ergodic_rate_oracle,
+    mmse_estimate,
     moment_suite,
     simulate_trials,
 )
@@ -309,17 +313,21 @@ def test_validate_rows_equal_standalone_oracles(instance, n_trials, q_max_db):
     assert rows == expected
 
 
-def transcribed_trial_tables(cfg, p, n_trials, seed):
+def transcribed_trial_tables(cfg, p, n_trials, seed, streams=None):
     """The former per-trial, per-cluster pipeline: one complex-normal call
     per cluster and step, one estimate, beam and AN direction per cluster,
-    and the tables stacked trial by trial."""
+    and the tables stacked trial by trial. Trial t draws from streams[t]
+    when given."""
 
     def cn(rng, *shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
     trials = []
     for t in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        if streams is not None:
+            rng = streams[t]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
         h = [cn(rng, k, cfg.n_antennas) for k in cfg.users_per_cluster]
         g = cn(rng, cfg.n_antennas)
         h_hat = []
@@ -359,15 +367,83 @@ big_ragged_sizes = st.lists(st.integers(1, 10), min_size=1, max_size=4).filter(
 
 
 @MONTE_CARLO
-@given(instances(sizes=big_ragged_sizes), st.integers(1, 4), st.integers(0, 2**16))
+@given(instances(sizes=big_ragged_sizes), st.integers(1, 40), st.integers(0, 2**16))
 def test_trial_tables_equal_per_cluster_pipeline(instance, n_trials, seed):
+    # Chunks of 1, 3 and the default size: up to 40 trials cross chunk
+    # boundaries at every size, and the bytes may depend on none of them.
     cfg, p, _, _ = instance
-    tables = simulate_trials(cfg, p, n_trials, seed)
     expected = transcribed_trial_tables(cfg, p, n_trials, seed)
-    for name, table in zip(
-        ("own", "beam", "an", "eave_beam", "eave_an", "estimate_norm"), expected
-    ):
-        assert np.array_equal(getattr(tables, name), table), name
+    for chunk in (1, 3, montecarlo._CHUNK_TRIALS):
+        with mock.patch.object(montecarlo, "_CHUNK_TRIALS", chunk):
+            tables = simulate_trials(cfg, p, n_trials, seed)
+        for name, table in zip(
+            ("own", "beam", "an", "eave_beam", "eave_an", "estimate_norm"), expected
+        ):
+            assert np.array_equal(getattr(tables, name), table), (name, chunk)
+
+
+class NormalStream:
+    """Stands in for a trial's generator: serves a fixed sequence of
+    standard normals in order, whatever the shapes requested, and records
+    the shape of each request."""
+
+    def __init__(self, values):
+        self.values, self.used, self.shapes = values, 0, []
+
+    def standard_normal(self, size=None, out=None):
+        shape = tuple(size if out is None else out.shape)
+        block = self.values[self.used : self.used + math.prod(shape)].reshape(shape)
+        self.used += block.size
+        self.shapes.append(shape)
+        if out is None:
+            return block.copy()
+        out[...] = block
+        return out
+
+
+def test_an_redraw_comes_from_its_own_trial_after_its_three_draws():
+    cfg = SystemConfig(
+        n_antennas=8,
+        clusters=(ClusterConfig(np.array([9.0, 3.0])), ClusterConfig(np.array([5.0]))),
+        pilot_len=2,
+        coherence_len=300,
+        eav_gain=10.0,
+    )
+    p = UplinkPower(([0.8, 0.4], [0.6]))
+    n, n_trials, target, seed = cfg.n_antennas, 7, 4, 11
+    draws = [(2 * (cfg.total_users + 1), n), (2 * cfg.n_clusters, n), (2 * cfg.n_clusters, n)]
+    values = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,))).standard_normal(
+            sum(math.prod(d) for d in draws) + 4 * n
+        )
+        for t in range(n_trials)
+    ]
+    # The target trial's AN draw for the last cluster is a multiple of that
+    # cluster's estimate, so it projects to zero and is drawn again. The
+    # last cluster is the one whose redraw the per-cluster pipeline also
+    # takes after every other draw of the trial.
+    stream = NormalStream(values[target])
+    h_hat = mmse_estimate(cfg, p, draw_realization(cfg, stream), stream).h_hat[-1]
+    start = stream.used + 2 * (cfg.n_clusters - 1) * n
+    values[target][start : start + 2 * n] = np.concatenate((h_hat.real, h_hat.imag))
+
+    expected = transcribed_trial_tables(
+        cfg, p, n_trials, seed, [NormalStream(v) for v in values]
+    )
+    # Trial 4 lies inside a chunk at both sizes: the second of [3, 4, 5]
+    # and the fifth of the one chunk of 7.
+    for chunk in (3, montecarlo._CHUNK_TRIALS):
+        streams = [NormalStream(v) for v in values]
+        with mock.patch.object(montecarlo, "_CHUNK_TRIALS", chunk), mock.patch.object(
+            montecarlo, "_trial_streams", lambda seed, count: iter(streams[:count])
+        ):
+            tables = simulate_trials(cfg, p, n_trials, seed)
+        for t, used in enumerate(streams):
+            assert used.shapes == draws + ([(2, n)] if t == target else []), (t, chunk)
+        for name, table in zip(
+            ("own", "beam", "an", "eave_beam", "eave_an", "estimate_norm"), expected
+        ):
+            assert np.array_equal(getattr(tables, name), table), (name, chunk)
 
 
 @PROPERTY
