@@ -22,6 +22,14 @@ form of DC power allocation). One `LogAffine` type evaluates every such
 half and its gradient A^T (w / (A x + b)) / ln 2; the stage builders only
 assemble A, b and w from the layout's indicator matrices. The gradients
 are validated against central finite differences in the test suite.
+
+A stage holds one side's powers fixed, so its forms and its feasible set
+(the per-user box on the uplink, the capped nonnegative set on the
+downlink) are built once per stage, by `_uplink_stage` and
+`_downlink_stage`, and every DC step of the stage reuses them. One stage
+loop, `_dc_stage`, serves the SE solver, each Dinkelbach round of the EE
+solver and both baselines; the public one-step functions
+`uplink_dc_step` and `downlink_dc_step` run one step on the same stage.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,15 +51,12 @@ from .model import (
     compute_rho,
 )
 from .projgrad import Box, CappedSimplex, ConcaveProblem, maximize
-from .rates import RateReport, _flat_rates, energy_efficiency, secrecy_report
+from .rates import RateReport, _check_circuit_power, _flat_rates, energy_efficiency, secrecy_report
 
 __all__ = [
-    "DcCoefficients",
     "SolveOptions",
     "SolverTrace",
     "OmaResult",
-    "dc_coefficients",
-    "uplink_log_arguments",
     "uplink_objective",
     "downlink_objective",
     "uplink_dc_step",
@@ -69,35 +75,16 @@ _LN2 = math.log(2.0)
 log = logging.getLogger("noma_secrecy")
 
 
-@dataclass(frozen=True)
-class DcCoefficients:
-    """Per-user affine-form coefficients of the two DC decompositions.
-
-    a1..a3 parameterize the uplink objective at fixed downlink powers:
-    each user's rate is log2 of a ratio of affine functions of the
-    uplink powers, with
+def _uplink_coeffs(cfg: SystemConfig, q: DownlinkPower):
+    """a1, a2, a3 of every user, flat. They parameterize the uplink
+    objective at fixed downlink powers: each user's rate is log2 of a
+    ratio of affine functions of the uplink powers, with
 
         a1 = Q_{m,k} beta_{m,k} N_t
         a2 = beta_{m,k} [(N_t - 1) sum_{i<k} Q_{m,i} - Q_{m,0} - Q_{m,k}]
         a3 = beta_{m,k} sum_{i<=k} Q_{m,i} (AN included)
              + beta_{m,k} sum_{j!=m} sum_i Q_{j,i} + 1
-
-    b1..b3 parameterize the downlink objective at fixed estimation
-    quality:
-
-        b1 = rho beta N_t,  b2 = beta (1 - rho),  b3 = beta (rho N_t + 1 - rho).
     """
-
-    a1: tuple[np.ndarray, ...]
-    a2: tuple[np.ndarray, ...]
-    a3: tuple[np.ndarray, ...]
-    b1: tuple[np.ndarray, ...]
-    b2: tuple[np.ndarray, ...]
-    b3: tuple[np.ndarray, ...]
-
-
-def _uplink_coeffs(cfg: SystemConfig, q: DownlinkPower):
-    """a1, a2, a3 of every user, flat."""
     nt = cfg.n_antennas
     beta = cfg.flat_betas
     users, an, prefix, inter = cfg.user_powers(q.flat())
@@ -108,19 +95,15 @@ def _uplink_coeffs(cfg: SystemConfig, q: DownlinkPower):
 
 
 def _downlink_coeffs(cfg: SystemConfig, rho: EstimationQuality):
-    """b1, b2, b3 of every user, flat."""
+    """b1, b2, b3 of every user, flat. They parameterize the downlink
+    objective at fixed estimation quality:
+
+        b1 = rho beta N_t,  b2 = beta (1 - rho),  b3 = beta (rho N_t + 1 - rho).
+    """
     nt = cfg.n_antennas
     beta = cfg.flat_betas
     r = rho.flat()
     return r * beta * nt, beta * (1.0 - r), beta * (r * nt + 1.0 - r)
-
-
-def dc_coefficients(
-    cfg: SystemConfig, q: DownlinkPower, rho: EstimationQuality
-) -> DcCoefficients:
-    a1, a2, a3 = (cfg.split_users(a) for a in _uplink_coeffs(cfg, q))
-    b1, b2, b3 = (cfg.split_users(b) for b in _downlink_coeffs(cfg, rho))
-    return DcCoefficients(a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, b3=b3)
 
 
 @dataclass(frozen=True)
@@ -169,20 +152,6 @@ def _uplink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
     return tuple(LogAffine(np.diag(c * bt) + normalizer, a3, ones) for c in (a1 + a2, a2))
 
 
-def _uplink_parts(cfg: SystemConfig, coeffs, p_flat: np.ndarray):
-    """(f1_value, f1_grad, f2_value, f2_grad) of the uplink halves."""
-    f1, f2 = _uplink_forms(cfg, coeffs)
-    return (*f1.evaluate(p_flat), *f2.evaluate(p_flat))
-
-
-def uplink_log_arguments(cfg: SystemConfig, q: DownlinkPower, p: UplinkPower):
-    """The affine log arguments (f1, f2) of the uplink decomposition,
-    flattened across clusters. f2 equals (total interference + 1) times
-    the pilot-energy normalizer (1 + tau sum beta P), hence positive."""
-    x = p.flat()
-    return tuple(f.A @ x + f.b for f in _uplink_forms(cfg, _uplink_coeffs(cfg, q)))
-
-
 def uplink_objective(
     cfg: SystemConfig,
     q: DownlinkPower,
@@ -218,13 +187,6 @@ def _downlink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
     concave = LogAffine(np.vstack((g2 + b1[:, None] * own, g3)), np.ones(2 * n), np.ones(2 * n))
     sub = LogAffine(np.vstack((g4, g2)), np.ones(n + 1), np.concatenate(([n], np.ones(n))))
     return concave, sub
-
-
-def _downlink_parts(cfg: SystemConfig, coeffs, q_flat: np.ndarray):
-    """(concave_value, concave_grad, sub_value, sub_grad) of the downlink
-    halves."""
-    concave, sub = _downlink_forms(cfg, coeffs)
-    return (*concave.evaluate(q_flat), *sub.evaluate(q_flat))
 
 
 def downlink_objective(
@@ -283,14 +245,26 @@ class SolverTrace:
     converged: bool = False
 
 
-def _dc_step(
-    cfg: SystemConfig, forms, x_prev, feasible_set, penalty, options, trace
-) -> np.ndarray:
-    """One DC iteration from x_prev: maximize the concave surrogate
+def _uplink_stage(cfg: SystemConfig, q: DownlinkPower, p_max):
+    """The uplink stage at fixed downlink powers: its forms (f1, f2) and
+    the per-user box [0, p_max]."""
+    forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
+    return forms, Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
+
+
+def _downlink_stage(cfg: SystemConfig, rho: EstimationQuality, q_max: float):
+    """The downlink stage at fixed estimation quality: its forms
+    (g1 + g3, g2 + g4) and the capped nonnegative set."""
+    return _downlink_forms(cfg, _downlink_coeffs(cfg, rho)), CappedSimplex(cap=q_max)
+
+
+def _dc_step(cfg: SystemConfig, stage, x_prev, penalty, options, trace) -> np.ndarray:
+    """One DC iteration of a stage (its forms and feasible set) from
+    x_prev: maximize the concave surrogate
     overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
     - penalty * sum x over the feasible set. The kernel's stop reason is
     counted in trace.kernel_stops when a trace is given."""
-    concave, sub = forms
+    (concave, sub), feasible_set = stage
     scale = cfg.overhead
     sub_prev, sub_grad_prev = sub.evaluate(x_prev)
     lin = scale * sub_grad_prev
@@ -326,9 +300,8 @@ def uplink_dc_step(
     surrogate f1(P) - <grad f2(P_prev), P> (- penalty * sum P) over the
     per-user box. The kernel's stop reason is counted in `trace`, if
     given."""
-    forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
-    box = Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
-    point = _dc_step(cfg, forms, p_prev.flat(), box, penalty, options or SolveOptions(), trace)
+    stage = _uplink_stage(cfg, q, p_max)
+    point = _dc_step(cfg, stage, p_prev.flat(), penalty, options or SolveOptions(), trace)
     return UplinkPower.from_flat(cfg, point)
 
 
@@ -345,11 +318,8 @@ def downlink_dc_step(
     surrogate g1(Q) + g3(Q) - <grad (g2+g4)(Q_prev), Q> (- penalty *
     sum Q) over the capped nonnegative set. The kernel's stop reason is
     counted in `trace`, if given."""
-    forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
-    point = _dc_step(
-        cfg, forms, q_prev.flat(), CappedSimplex(cap=q_max), penalty,
-        options or SolveOptions(), trace,
-    )
+    stage = _downlink_stage(cfg, rho, q_max)
+    point = _dc_step(cfg, stage, q_prev.flat(), penalty, options or SolveOptions(), trace)
     return DownlinkPower.from_flat(cfg, point)
 
 
@@ -377,16 +347,20 @@ def _warn_cap_hits(solver: str, trace: SolverTrace) -> None:
         )
 
 
-def _dc_stage(step, objective, x, start: float, options: SolveOptions, trace: SolverTrace):
-    """Repeat one DC step from x, whose stage objective is `start`, until
-    the objective gains less than inner_tol (converged) or max_inner steps
+def _dc_stage(
+    cfg: SystemConfig, stage, objective, x, start: float, penalty: float,
+    options: SolveOptions, trace: SolverTrace,
+):
+    """Repeat the DC step of `stage` (its forms and feasible set, built
+    once) from the powers x, whose stage objective is `start`, until the
+    objective gains less than inner_tol (converged) or max_inner steps
     have run. Records the objective sequence in trace and counts a stage
     that stops at max_inner in trace.stage_caps; returns the last iterate,
     its objective and whether the loop converged."""
     values = [start]
     converged = False
     for _ in range(options.max_inner):
-        x = step(x)
+        x = type(x).from_flat(cfg, _dc_step(cfg, stage, x.flat(), penalty, options, trace))
         values.append(objective(x))
         if values[-1] - values[-2] < options.inner_tol:
             converged = True
@@ -422,20 +396,17 @@ def _alternate(
     for _ in range(options.max_outer):
         # Uplink stage at fixed downlink powers.
         p, r_up, _ = _dc_stage(
-            lambda p: uplink_dc_step(cfg, q, p, p_max, penalty=lam, options=options, trace=trace),
-            lambda p: _stage_objective(cfg, p, q, lam, circuit_power),
-            p, trace.outer_values[-1], options, trace,
+            cfg, _uplink_stage(cfg, q, p_max),
+            partial(_stage_objective, cfg, q=q, lam=lam, circuit_power=circuit_power),
+            p, trace.outer_values[-1], lam, options, trace,
         )
         trace.outer_values.append(r_up)
 
         # Downlink stage at the resulting estimation quality.
-        rho = compute_rho(cfg, p)
         q, r_down, _ = _dc_stage(
-            lambda q: downlink_dc_step(
-                cfg, rho, q, q_max, penalty=lam, options=options, trace=trace
-            ),
-            lambda q: _stage_objective(cfg, p, q, lam, circuit_power),
-            q, r_up, options, trace,
+            cfg, _downlink_stage(cfg, compute_rho(cfg, p), q_max),
+            partial(_stage_objective, cfg, p, lam=lam, circuit_power=circuit_power),
+            q, r_up, lam, options, trace,
         )
         trace.outer_values.append(r_down)
 
@@ -469,20 +440,15 @@ def maximize_se(
     p_max,
     q_max: float,
     options: SolveOptions | None = None,
-    p0: UplinkPower | None = None,
-    q0: DownlinkPower | None = None,
 ) -> tuple[UplinkPower, DownlinkPower, RateReport, SolverTrace]:
     """Alternating DC maximization of the sum secrecy rate.
 
-    Starts from the fixed baseline allocation unless told otherwise, so
-    the first trace value is the baseline's objective and every later
-    value records the improvement over it.
+    Starts from the fixed baseline allocation, so the first trace value
+    is the baseline's objective and every later value records the
+    improvement over it.
     """
     options = options or SolveOptions()
-    if p0 is None or q0 is None:
-        p_init, q_init = baseline_fixed(cfg, p_max, q_max)
-        p0 = p0 if p0 is not None else p_init
-        q0 = q0 if q0 is not None else q_init
+    p0, q0 = baseline_fixed(cfg, p_max, q_max)
     p, q, trace = _alternate(cfg, p_max, q_max, p0, q0, options)
     _warn_cap_hits("maximize_se", trace)
     report = secrecy_report(cfg, p, q)
@@ -505,8 +471,7 @@ def maximize_ee(
     value nonnegative, so the lambda sequence is nondecreasing; the loop
     stops once that value drops below ee_tol.
     """
-    if circuit_power <= 0.0:
-        raise ValueError("circuit_power must be positive")
+    _check_circuit_power(circuit_power)
     options = options or SolveOptions()
     p, q = baseline_fixed(cfg, p_max, q_max)
     lam = 0.0
@@ -566,12 +531,10 @@ def baseline_downlink_se(
     """Uplink pinned at its cap; one downlink DC loop to convergence."""
     options = options or SolveOptions()
     p, q = baseline_fixed(cfg, p_max, q_max)
-    rho = compute_rho(cfg, p)
     trace = SolverTrace()
     q, _, trace.converged = _dc_stage(
-        lambda q: downlink_dc_step(cfg, rho, q, q_max, options=options, trace=trace),
-        lambda q: smooth_secrecy_sum(cfg, p, q),
-        q, smooth_secrecy_sum(cfg, p, q), options, trace,
+        cfg, _downlink_stage(cfg, compute_rho(cfg, p), q_max), partial(smooth_secrecy_sum, cfg, p),
+        q, smooth_secrecy_sum(cfg, p, q), 0.0, options, trace,
     )
     trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
@@ -588,9 +551,8 @@ def baseline_uplink_se(
     p, q = baseline_fixed(cfg, p_max, q_max)
     trace = SolverTrace()
     p, _, trace.converged = _dc_stage(
-        lambda p: uplink_dc_step(cfg, q, p, p_max, options=options, trace=trace),
-        lambda p: smooth_secrecy_sum(cfg, p, q),
-        p, smooth_secrecy_sum(cfg, p, q), options, trace,
+        cfg, _uplink_stage(cfg, q, p_max), partial(smooth_secrecy_sum, cfg, q=q),
+        p, smooth_secrecy_sum(cfg, p, q), 0.0, options, trace,
     )
     trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
@@ -617,6 +579,8 @@ def optimize_oma_tdma(
     every cluster with the full power budgets, allocated by the same SE
     solver on the one-user-per-cluster layout; rates (and powers, for the
     efficiency figure) are averaged over the K slots."""
+    if circuit_power is not None:
+        _check_circuit_power(circuit_power)
     users = set(cfg.users_per_cluster)
     if len(users) != 1:
         raise ValueError("the time-shared benchmark needs equal-size clusters")

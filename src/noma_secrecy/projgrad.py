@@ -38,6 +38,14 @@ __all__ = [
     "finite_difference_gradient",
 ]
 
+# Line-search constants of `maximize`: the first trial step, the backtracking
+# factor, the Armijo sufficient-ascent fraction and the growth of the
+# fallback step.
+_STEP0 = 1.0
+_SHRINK = 0.5
+_ARMIJO = 1e-4
+_GROW = 2.0
+
 
 @dataclass(frozen=True)
 class Box:
@@ -126,10 +134,6 @@ def maximize(
     x0,
     tol: float = 1e-7,
     max_iter: int = 500,
-    step0: float = 1.0,
-    shrink: float = 0.5,
-    armijo: float = 1e-4,
-    grow: float = 2.0,
 ) -> SolveResult:
     """Projected-gradient ascent with Armijo backtracking.
 
@@ -138,9 +142,10 @@ def maximize(
     last accepted step. s.y >= 0 on a concave objective, and the step is
     the inverse of its mean curvature along s. On the first iteration,
     and whenever s.y <= 0 (a linear objective, for one), it falls back
-    to the last accepted step times `grow`, starting from `step0`. Trial
-    steps are capped at 1e12 and shrunk (times `shrink`) until the
-    Armijo test passes, so the objective sequence is nondecreasing.
+    to the last accepted step times `_GROW`, starting from `_STEP0`.
+    Trial steps are capped at 1e12 and shrunk (times `_SHRINK`) until the
+    Armijo test (fraction `_ARMIJO`) passes, so the objective sequence is
+    nondecreasing.
 
     Iteration stops once the unit-step projected-gradient residual
     ||x - P(x + grad)|| falls to tol ("stationary"), when no trial step
@@ -158,7 +163,7 @@ def maximize(
         raise ValueError("non-finite objective or gradient at x0 = %r" % (x,))
 
     history = [value]
-    step = step0
+    step = _STEP0
     previous = None  # (point, gradient) before the last accepted step
     iterations = 0
     stationarity = np.inf
@@ -171,7 +176,7 @@ def maximize(
             iterations -= 1
             break
 
-        alpha = step * grow
+        alpha = step * _GROW
         if previous is not None:
             s = x - previous[0]
             sy = float(s @ (previous[1] - grad))
@@ -184,10 +189,10 @@ def maximize(
             direction = candidate - x
             gain = float(grad @ direction)
             if gain <= 0.0 or np.linalg.norm(direction) == 0.0:
-                alpha *= shrink
+                alpha *= _SHRINK
                 continue
             cand_value, cand_grad = problem.evaluate(candidate)
-            if np.isfinite(cand_value) and cand_value >= value + armijo * gain:
+            if np.isfinite(cand_value) and cand_value >= value + _ARMIJO * gain:
                 if not np.all(np.isfinite(cand_grad)):
                     raise ValueError(
                         "non-finite gradient at accepted point %r" % (candidate,)
@@ -197,7 +202,7 @@ def maximize(
                 step = alpha
                 accepted = True
                 break
-            alpha *= shrink
+            alpha *= _SHRINK
         if not accepted:
             # No ascent direction survives the backtracking floor: treat
             # the current point as stationary.

@@ -99,7 +99,6 @@ class RateReport:
     eaves: tuple[np.ndarray, ...]
     secrecy: tuple[np.ndarray, ...]
     sum_secrecy: float
-    ee: float | None = None
 
 
 def _user_terms(
@@ -285,6 +284,11 @@ def oma_report(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> RateRepor
     )
 
 
+def _check_circuit_power(circuit_power: float) -> None:
+    if not 0.0 < circuit_power < math.inf:
+        raise ValueError("circuit_power must be positive and finite")
+
+
 def energy_efficiency(
     report: RateReport,
     p: UplinkPower,
@@ -293,6 +297,5 @@ def energy_efficiency(
 ) -> float:
     """Sum secrecy rate over total consumed power (uplink + downlink +
     fixed circuit power)."""
-    if circuit_power <= 0.0:
-        raise ValueError("circuit_power must be positive")
+    _check_circuit_power(circuit_power)
     return report.sum_secrecy / (p.total() + q.total() + circuit_power)

@@ -25,10 +25,10 @@ from noma_secrecy.model import (
 from noma_secrecy.montecarlo import ergodic_rate_oracle, moment_suite
 from noma_secrecy.optimize import (
     SolveOptions,
-    _downlink_parts,
     _downlink_coeffs,
+    _downlink_forms,
     _uplink_coeffs,
-    _uplink_parts,
+    _uplink_forms,
     baseline_downlink_se,
     baseline_fixed,
     baseline_uplink_se,
@@ -256,13 +256,14 @@ class TestCriterion05GradientHarness:
         worst = 0.0
         for p, q in self._feasible_points(cfg, rng):
             rho = compute_rho(cfg, p)
-            coeffs = _downlink_coeffs(cfg, rho)
-            cval, cgrad, sval, sgrad = _downlink_parts(cfg, coeffs, q.flat())
+            concave, sub = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
+            cval, cgrad = concave.evaluate(q.flat())
+            sval, sgrad = sub.evaluate(q.flat())
             fd_c = finite_difference_gradient(
-                lambda x: _downlink_parts(cfg, coeffs, x)[0], q.flat()
+                lambda x: concave.evaluate(x)[0], q.flat()
             )
             fd_s = finite_difference_gradient(
-                lambda x: _downlink_parts(cfg, coeffs, x)[2], q.flat()
+                lambda x: sub.evaluate(x)[0], q.flat()
             )
             worst = max(worst, self._rel_err(cgrad, fd_c), self._rel_err(sgrad, fd_s))
         assert worst < self.RTOL
@@ -273,13 +274,14 @@ class TestCriterion05GradientHarness:
         rng = np.random.default_rng(53)
         worst = 0.0
         for p, q in self._feasible_points(cfg, rng):
-            coeffs = _uplink_coeffs(cfg, q)
-            _, g1, _, g2 = _uplink_parts(cfg, coeffs, p.flat())
+            f1, f2 = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
+            _, g1 = f1.evaluate(p.flat())
+            _, g2 = f2.evaluate(p.flat())
             fd_1 = finite_difference_gradient(
-                lambda x: _uplink_parts(cfg, coeffs, x)[0], p.flat()
+                lambda x: f1.evaluate(x)[0], p.flat()
             )
             fd_2 = finite_difference_gradient(
-                lambda x: _uplink_parts(cfg, coeffs, x)[2], p.flat()
+                lambda x: f2.evaluate(x)[0], p.flat()
             )
             worst = max(worst, self._rel_err(g1, fd_1), self._rel_err(g2, fd_2))
         assert worst < self.RTOL

@@ -17,10 +17,12 @@ from noma_secrecy.model import (
 )
 from noma_secrecy.optimize import (
     SolveOptions,
+    _downlink_coeffs,
+    _uplink_coeffs,
+    _uplink_forms,
     baseline_downlink_se,
     baseline_fixed,
     baseline_uplink_se,
-    dc_coefficients,
     downlink_dc_step,
     downlink_objective,
     maximize_ee,
@@ -28,7 +30,6 @@ from noma_secrecy.optimize import (
     optimize_oma_tdma,
     smooth_secrecy_sum,
     uplink_dc_step,
-    uplink_log_arguments,
     uplink_objective,
 )
 from noma_secrecy.projgrad import Box, ConcaveProblem, finite_difference_gradient, maximize
@@ -68,22 +69,29 @@ def random_powers(cfg, rng, p_max=1.0, q_scale=5.0):
     return p, q
 
 
+def uplink_arguments(cfg, q, p):
+    """The affine log arguments (f1, f2) of the uplink forms at p, flat."""
+    x = p.flat()
+    return tuple(f.A @ x + f.b for f in _uplink_forms(cfg, _uplink_coeffs(cfg, q)))
+
+
 class TestCoefficients:
     def test_signs(self):
         cfg = scenario(3, m=2, k=3)
         rng = np.random.default_rng(4)
         p, q = random_powers(cfg, rng)
-        coeffs = dc_coefficients(cfg, q, compute_rho(cfg, p))
+        a1, a2, a3 = (cfg.split_users(a) for a in _uplink_coeffs(cfg, q))
+        b1, b2, b3 = (cfg.split_users(b) for b in _downlink_coeffs(cfg, compute_rho(cfg, p)))
         for m in range(2):
-            assert np.all(coeffs.a1[m] > 0.0)
-            assert np.all(coeffs.a3[m] > 0.0)
+            assert np.all(a1[m] > 0.0)
+            assert np.all(a3[m] > 0.0)
             # strongest user: a2 = -beta (Q_an + Q_own) < 0
             beta = cfg.beta(m)[0]
             expected = -beta * (q.an(m) + q.user(m, 0))
-            assert coeffs.a2[m][0] == pytest.approx(expected, rel=1e-12)
-            assert np.all(coeffs.b1[m] >= 0.0)
-            assert np.all(coeffs.b2[m] > 0.0)
-            assert np.all(coeffs.b3[m] > 0.0)
+            assert a2[m][0] == pytest.approx(expected, rel=1e-12)
+            assert np.all(b1[m] >= 0.0)
+            assert np.all(b2[m] > 0.0)
+            assert np.all(b3[m] > 0.0)
 
     def test_subtracted_log_argument_identity(self):
         # The f2 argument factors as (total interference + 1) times the
@@ -93,7 +101,7 @@ class TestCoefficients:
         for _ in range(25):
             p, q = random_powers(cfg, rng)
             rho = compute_rho(cfg, p)
-            _, args2 = uplink_log_arguments(cfg, q, p)
+            _, args2 = uplink_arguments(cfg, q, p)
             tau = cfg.pilot_len
             i = 0
             for m in range(cfg.n_clusters):
@@ -111,7 +119,7 @@ class TestCoefficients:
         cfg = scenario(7, m=2, k=2)
         p, q = random_powers(cfg, rng)
         rho = compute_rho(cfg, p)
-        args1, _ = uplink_log_arguments(cfg, q, p)
+        args1, _ = uplink_arguments(cfg, q, p)
         tau = cfg.pilot_len
         i = 0
         for m in range(cfg.n_clusters):
@@ -284,6 +292,40 @@ class TestDcSteps:
         assert abs(av - joint_value) < 1e-8
 
 
+class TestStageLoopMatchesOneStep:
+    """The solvers' stage loop and the public one-step functions build the
+    same stage, so one step of either lands on the same bits."""
+
+    LAYOUTS = {
+        "square": scenario(50, m=2, k=2, nt=32),
+        "ragged": make_cfg([[70.0, 15.0, 4.0], [50.0]], n_antennas=8),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_one_se_round_is_one_uplink_then_one_downlink_step(self, layout):
+        cfg = self.LAYOUTS[layout]
+        options = SolveOptions(max_inner=1, max_outer=1)
+        p0, q0 = baseline_fixed(cfg, 1.0, 10.0)
+        p, q, _, _ = maximize_se(cfg, 1.0, 10.0, options)
+        p1 = uplink_dc_step(cfg, q0, p0, 1.0, options=options)
+        q1 = downlink_dc_step(cfg, compute_rho(cfg, p1), q0, 10.0, options=options)
+        assert np.array_equal(p.flat(), p1.flat())
+        assert np.array_equal(q.flat(), q1.flat())
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_one_step_baselines_are_one_public_step(self, layout):
+        cfg = self.LAYOUTS[layout]
+        options = SolveOptions(max_inner=1)
+        p0, q0 = baseline_fixed(cfg, 1.0, 10.0)
+        p, q, _, _ = baseline_uplink_se(cfg, 1.0, 10.0, options)
+        assert np.array_equal(p.flat(), uplink_dc_step(cfg, q0, p0, 1.0, options=options).flat())
+        assert np.array_equal(q.flat(), q0.flat())
+        p, q, _, _ = baseline_downlink_se(cfg, 1.0, 10.0, options)
+        q1 = downlink_dc_step(cfg, compute_rho(cfg, p0), q0, 10.0, options=options)
+        assert np.array_equal(p.flat(), p0.flat())
+        assert np.array_equal(q.flat(), q1.flat())
+
+
 class TestMaximizeSe:
     def test_trivial_instance_matches_grid_search(self):
         # Single cluster, single user, silent eavesdropper: uplink at its
@@ -397,6 +439,12 @@ class TestMaximizeEe:
         with pytest.raises(ValueError):
             maximize_ee(cfg, 1.0, 10.0, circuit_power=0.0)
 
+    @pytest.mark.parametrize("circuit_power", [math.nan, math.inf])
+    def test_rejects_non_finite_circuit_power(self, circuit_power):
+        cfg = make_cfg([[5.0, 1.0]], n_antennas=8)
+        with pytest.raises(ValueError, match="circuit_power must be positive and finite"):
+            maximize_ee(cfg, 1.0, 10.0, circuit_power=circuit_power)
+
 
 class TestKernelStops:
     @pytest.fixture
@@ -506,3 +554,9 @@ class TestOmaTdma:
         cfg = make_cfg([[3.0, 1.0], [2.0]], pilot_len=2)
         with pytest.raises(ValueError, match="equal-size"):
             optimize_oma_tdma(cfg, 1.0, 10.0)
+
+    @pytest.mark.parametrize("circuit_power", [0.0, math.nan, math.inf])
+    def test_rejects_bad_circuit_power(self, circuit_power):
+        cfg = make_cfg([[5.0, 1.0], [4.0, 2.0]], n_antennas=8)
+        with pytest.raises(ValueError, match="circuit_power must be positive and finite"):
+            optimize_oma_tdma(cfg, 1.0, 10.0, circuit_power=circuit_power)

@@ -36,9 +36,9 @@ from noma_secrecy.optimize import (
     LogAffine,
     SolveOptions,
     _downlink_coeffs,
-    _downlink_parts,
+    _downlink_forms,
     _uplink_coeffs,
-    _uplink_parts,
+    _uplink_forms,
     baseline_fixed,
     downlink_dc_step,
     maximize_ee,
@@ -146,17 +146,19 @@ def test_report_matches_per_user_transcription(instance, exact_gain, silence_som
 @given(instances())
 def test_part_gradients_match_finite_differences(instance):
     cfg, p, q, _ = instance
-    up = _uplink_coeffs(cfg, q)
-    _, g1, _, g2 = _uplink_parts(cfg, up, p.flat())
-    fd1 = finite_difference_gradient(lambda x: _uplink_parts(cfg, up, x)[0], p.flat())
-    fd2 = finite_difference_gradient(lambda x: _uplink_parts(cfg, up, x)[2], p.flat())
+    f1, f2 = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
+    _, g1 = f1.evaluate(p.flat())
+    _, g2 = f2.evaluate(p.flat())
+    fd1 = finite_difference_gradient(lambda x: f1.evaluate(x)[0], p.flat())
+    fd2 = finite_difference_gradient(lambda x: f2.evaluate(x)[0], p.flat())
     assert _rel_err(g1, fd1) < GRADIENT_RTOL
     assert _rel_err(g2, fd2) < GRADIENT_RTOL
 
-    down = _downlink_coeffs(cfg, compute_rho(cfg, p))
-    _, cg, _, sg = _downlink_parts(cfg, down, q.flat())
-    fd_c = finite_difference_gradient(lambda x: _downlink_parts(cfg, down, x)[0], q.flat())
-    fd_s = finite_difference_gradient(lambda x: _downlink_parts(cfg, down, x)[2], q.flat())
+    concave, sub = _downlink_forms(cfg, _downlink_coeffs(cfg, compute_rho(cfg, p)))
+    _, cg = concave.evaluate(q.flat())
+    _, sg = sub.evaluate(q.flat())
+    fd_c = finite_difference_gradient(lambda x: concave.evaluate(x)[0], q.flat())
+    fd_s = finite_difference_gradient(lambda x: sub.evaluate(x)[0], q.flat())
     assert _rel_err(cg, fd_c) < GRADIENT_RTOL
     assert _rel_err(sg, fd_s) < GRADIENT_RTOL
 

@@ -406,6 +406,15 @@ class TestEnergyEfficiency:
         with pytest.raises(ValueError):
             energy_efficiency(report, p, q, 0.0)
 
+    @pytest.mark.parametrize("circuit_power", [math.nan, math.inf])
+    def test_rejects_non_finite_circuit_power(self, circuit_power):
+        cfg = make_cfg([[2.0]], pilot_len=1)
+        p = UplinkPower(([0.5],))
+        q = DownlinkPower((np.array([0.0, 1.0]),))
+        report = secrecy_report(cfg, p, q)
+        with pytest.raises(ValueError, match="circuit_power must be positive and finite"):
+            energy_efficiency(report, p, q, circuit_power)
+
 
 # Gamma(n + 1/2) / Gamma(n) rounded to double from 40-digit arithmetic,
 # on both sides of the switch from the direct ratio to the series.
