@@ -8,7 +8,7 @@ seed-controlled and echoed into the per-user output so results can be
 reproduced from the CSV alone.
 
 A sweep point is a spec: the sweep's spec with its axis field set to the
-point's value (cast to int on the two integer axes; on users_per_cluster
+point's value (an integer on the two integer axes; on users_per_cluster
 the drawn gain pool is cut into clusters of the new size). Every point,
 like every other command, goes from spec to configuration and budgets
 through one path, and every allocation it evaluates is written by one
@@ -142,10 +142,24 @@ class ExperimentSpec:
 
 
 def _finite(name: str, value) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("%s must be a finite number, got %r" % (name, value)) from None
     if not math.isfinite(x):
         raise ValueError("%s must be finite, got %r" % (name, x))
     return x
+
+
+def _integer(name: str, value) -> int:
+    """A spec integer: an int as it is (every digit of a large seed kept)
+    or a float with an integral value such as 64.0; anything else is a
+    ValueError naming the key."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
 
 
 def _db(name: str, value) -> float:
@@ -158,23 +172,34 @@ def load_spec(path: str) -> ExperimentSpec:
     """Read and validate a JSON experiment spec."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("an experiment spec must be a JSON object")
+    for section in SPEC_SECTIONS:
+        if not isinstance(raw.get(section, {}), dict):
+            raise ValueError("%s must be an object" % section)
     unknown = sorted(set(raw) - SPEC_KEYS) + sorted(
         "%s.%s" % (section, key)
         for section, keys in SPEC_SECTIONS.items()
-        for key in set(raw.get(section) or {}) - keys
+        for key in set(raw.get(section, {})) - keys
     )
     if unknown:
         raise ValueError("unknown experiment spec key(s): %s" % ", ".join(unknown))
     try:
         scenario = str(raw["scenario"])
         system = raw["system"]
-        powers = raw.get("powers", {})
     except KeyError as exc:
         raise ValueError("experiment spec is missing the %s section" % exc) from exc
+    powers = raw.get("powers", {})
+
+    def optional_int(key):
+        return _integer("system." + key, system[key]) if key in system else None
 
     clusters = None
     if "clusters" in system:
-        clusters = tuple(tuple(float(b) for b in row) for row in system["clusters"])
+        rows = system["clusters"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("system.clusters must be a list of lists of gains")
+        clusters = tuple(tuple(_finite("system.clusters", b) for b in row) for row in rows)
         if not clusters:
             raise ValueError("system.clusters must not be empty")
 
@@ -182,34 +207,36 @@ def load_spec(path: str) -> ExperimentSpec:
     sweep_axis = None
     sweep_values: tuple[float, ...] = ()
     if sweep is not None:
-        sweep_axis = str(sweep["axis"])
+        sweep_axis = sweep.get("axis")
         if sweep_axis not in SWEEP_AXES:
             raise ValueError(
                 "sweep.axis must be one of %s, got %r" % (", ".join(SWEEP_AXES), sweep_axis)
             )
-        number = _db if sweep_axis.endswith("_db") else _finite
-        sweep_values = tuple(number("sweep.values", v) for v in sweep["values"])
-        if len(sweep_values) < 1:
+        values = sweep.get("values")
+        if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
+        if sweep_axis in ("n_antennas", "users_per_cluster"):
+            number = _integer
+        else:
+            number = _db if sweep_axis.endswith("_db") else _finite
+        sweep_values = tuple(number("sweep.values", v) for v in values)
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise ValueError("sweep.values must be strictly increasing")
 
-    trials = int(raw.get("trials", 1000))
+    trials = _integer("trials", raw.get("trials", 1000))
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     spec = ExperimentSpec(
         scenario=scenario,
-        n_antennas=int(system.get("n_antennas", 64)),
-        coherence_len=int(system.get("coherence_len", 300)),
-        eav_gain=float(system.get("eav_gain", 10.0)),
-        pilot_len=int(system["pilot_len"]) if "pilot_len" in system else None,
+        n_antennas=_integer("system.n_antennas", system.get("n_antennas", 64)),
+        coherence_len=_integer("system.coherence_len", system.get("coherence_len", 300)),
+        eav_gain=_finite("system.eav_gain", system.get("eav_gain", 10.0)),
+        pilot_len=optional_int("pilot_len"),
         clusters=clusters,
-        n_clusters=int(system["n_clusters"]) if "n_clusters" in system else None,
-        users_per_cluster=(
-            int(system["users_per_cluster"]) if "users_per_cluster" in system else None
-        ),
-        total_users=int(system["total_users"]) if "total_users" in system else None,
+        n_clusters=optional_int("n_clusters"),
+        users_per_cluster=optional_int("users_per_cluster"),
+        total_users=optional_int("total_users"),
         p_max_db=_db("powers.p_max_db", powers.get("p_max_db", 0.0)),
         q_max_db=_db("powers.q_max_db", powers.get("q_max_db", 20.0)),
         circuit_power_db=(
@@ -217,11 +244,13 @@ def load_spec(path: str) -> ExperimentSpec:
             if "circuit_power_db" in powers
             else None
         ),
-        an_fraction=float(raw.get("allocation", {}).get("an_fraction", 0.2)),
+        an_fraction=_finite(
+            "allocation.an_fraction", raw.get("allocation", {}).get("an_fraction", 0.2)
+        ),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         trials=trials,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer("seed", raw.get("seed", 0)),
         output=str(raw["output"]) if "output" in raw else None,
     )
     if spec.circuit_power_db is not None and db_to_linear(spec.circuit_power_db) == 0.0:
@@ -460,7 +489,7 @@ def _sweep_point(spec: ExperimentSpec, value: float) -> list[tuple[list[list], l
     """The (user rows, summary row) of every allocator at one sweep point:
     the spec with its sweep axis set to `value`."""
     axis = spec.sweep_axis
-    changes = {axis: int(value) if axis in ("n_antennas", "users_per_cluster") else value}
+    changes = {axis: value}
     if axis == "users_per_cluster":
         changes["clusters"] = None  # cut the drawn gain pool into clusters of this size
     cfg, p_max, q_max, circuit = _point(dataclasses.replace(spec, **changes))

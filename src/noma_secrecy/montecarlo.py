@@ -15,9 +15,7 @@ AN projection and the inner products then run once over the chunk, with
 users in the flat layout and one row per cluster; every norm and
 projection adds along the contiguous last axis, as one trial alone would.
 An AN draw that projects to (nearly) zero is drawn again from its own
-trial's generator, after that trial's three calls. The single-trial
-functions (:func:`draw_realization`, :func:`mmse_estimate`,
-:func:`mrt_precoder`, :func:`an_vector`) share this arithmetic.
+trial's generator, after that trial's three calls.
 
 Determinism contract: a given (seed, n_trials) pair gives the same table
 bytes whatever the chunk size and however trials are scheduled, since
@@ -45,15 +43,8 @@ from .model import DownlinkPower, SystemConfig, UplinkPower, compute_rho
 from .rates import RateReport, _user_terms, chi_mean
 
 __all__ = [
-    "ChannelRealization",
-    "EstimateSet",
     "MomentStat",
     "OracleReport",
-    "draw_realization",
-    "mmse_estimate",
-    "mrt_precoder",
-    "an_vector",
-    "build_estimates",
     "error_decomposition_check",
     "moment_suite",
     "ergodic_rate_oracle",
@@ -79,11 +70,6 @@ def _cn(raw: np.ndarray, counts) -> np.ndarray:
     return (raw[..., re_row, :] + 1j * raw[..., re_row + sizes, :]) / math.sqrt(2.0)
 
 
-def _cn_rows(rng: np.random.Generator, counts, n: int) -> np.ndarray:
-    """:func:`_cn` rows of length n from one standard_normal call."""
-    return _cn(rng.standard_normal((2 * sum(counts), n)), counts)
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Row norms, added as np.linalg.norm adds one vector (axis=1 does not)."""
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
@@ -107,7 +93,8 @@ def _layouts(cfg: SystemConfig) -> tuple[tuple[int, ...], ...]:
 def _estimate(cfg: SystemConfig, p: UplinkPower, h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """MMSE estimates (..., M, N) from the user channels h (..., U, N) in
     the flat layout and the pilot noise y (..., M, N), which is added to
-    in place."""
+    in place: y_m + sum_k sqrt(P beta tau) h_{m,k}, scaled by
+    sqrt(S_m) / (1 + S_m) where S_m = sum_k P beta tau."""
     total = np.empty(cfg.n_clusters)
     # Cluster by cluster: np.add.reduceat sums clusters of three or more
     # users in another order, and these bytes reach the validate output.
@@ -126,11 +113,6 @@ def _unit_beams(h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cluster = np.argwhere(norm == 0.0)[0, -1]
         raise ValueError("cluster %d estimate is the zero vector (no pilot power?)" % cluster)
     return norm, h_hat / norm[..., None]
-
-
-def _check_null_space(n_antennas: int) -> None:
-    if n_antennas < 2:
-        raise ValueError("AN needs at least 2 antennas (null space is empty)")
 
 
 def _project_out(h_hat, norm_sq, v) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +135,8 @@ def _an_directions(h_hat: np.ndarray, v: np.ndarray, rngs) -> np.ndarray:
     for t in np.flatnonzero(~ok.all(axis=-1)):
         todo = np.flatnonzero(~ok[t])
         while todo.size:
-            redraw = _cn_rows(rngs[t], (1,) * todo.size, h_hat.shape[-1])
+            raw = rngs[t].standard_normal((2 * todo.size, h_hat.shape[-1]))
+            redraw = _cn(raw, (1,) * todo.size)
             z_t, ok_t = _project_out(h_hat[t, todo], norm_sq[t, todo], redraw)
             z[t, todo[ok_t]] = z_t[ok_t]
             todo = todo[~ok_t]
@@ -182,81 +165,6 @@ def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) 
         for table, r in zip(tables, rows):
             table[start : start + len(rngs)] = r
     return tables
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of every small-scale fading vector.
-
-    h[m] has shape (K_m, N_t); g is the eavesdropper vector.
-    """
-
-    h: tuple[np.ndarray, ...]
-    g: np.ndarray
-
-
-@dataclass(frozen=True)
-class EstimateSet:
-    """Channel estimates, unit-norm precoders and unit-norm AN directions
-    orthogonal to the estimates, one (M, N_t) row per cluster."""
-
-    h_hat: np.ndarray
-    w: np.ndarray | None = None
-    z: np.ndarray | None = None
-
-
-def draw_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    rows = _cn_rows(rng, _layouts(cfg)[0], cfg.n_antennas)
-    return ChannelRealization(h=cfg.split_users(rows[:-1]), g=rows[-1])
-
-
-def mmse_estimate(
-    cfg: SystemConfig,
-    p: UplinkPower,
-    realization: ChannelRealization,
-    rng: np.random.Generator,
-) -> EstimateSet:
-    """MMSE estimate of each cluster's effective channel from its pilot.
-
-    The de-spread observation is y_m = sum_k sqrt(P beta tau) h_{m,k} + n
-    with unit-variance pilot noise n; the estimate scales it by
-    sqrt(S_m) / (1 + S_m) where S_m = sum_k P beta tau.
-    """
-    y = _cn_rows(rng, _layouts(cfg)[1], cfg.n_antennas)  # pilot noise
-    return EstimateSet(h_hat=_estimate(cfg, p, np.concatenate(realization.h), y))
-
-
-def mrt_precoder(estimates: EstimateSet) -> EstimateSet:
-    """Match each beam to its estimated cluster channel (unit norm)."""
-    h_hat = np.asarray(estimates.h_hat)
-    return EstimateSet(h_hat=h_hat, w=_unit_beams(h_hat)[1], z=estimates.z)
-
-
-def an_vector(estimates: EstimateSet, rng: np.random.Generator) -> EstimateSet:
-    """Isotropic unit-norm direction in each estimate's null space.
-
-    Draws a complex Gaussian vector and projects out the estimate
-    direction; O(N_t) and matches the isotropic null-space assumption
-    behind the closed-form AN-leakage average. A draw that projects to
-    (nearly) zero is drawn again, for its cluster only.
-    """
-    h_hat = np.asarray(estimates.h_hat)
-    _check_null_space(h_hat.shape[1])
-    v = _cn_rows(rng, (1,) * h_hat.shape[0], h_hat.shape[1])
-    z = _an_directions(h_hat[None], v[None], [rng])[0]
-    return EstimateSet(h_hat=h_hat, w=estimates.w, z=z)
-
-
-def build_estimates(
-    cfg: SystemConfig,
-    p: UplinkPower,
-    realization: ChannelRealization,
-    rng: np.random.Generator,
-) -> EstimateSet:
-    """Estimate, precode and draw AN directions in one deterministic pass."""
-    est = mmse_estimate(cfg, p, realization, rng)
-    est = mrt_precoder(est)
-    return an_vector(est, rng)
 
 
 @dataclass(frozen=True)
@@ -305,7 +213,8 @@ def simulate_trials(cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int)
     """Run the pipeline over chunks of trials and keep only each trial's
     inner products, which :func:`reduce_moments` and :func:`reduce_rates`
     reduce."""
-    _check_null_space(cfg.n_antennas)
+    if cfg.n_antennas < 2:
+        raise ValueError("AN needs at least 2 antennas (null space is empty)")
     users = np.arange(cfg.total_users)
 
     def chunk(rngs, rows, y, v):

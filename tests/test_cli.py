@@ -1,8 +1,10 @@
 import csv
+import importlib
 import json
 import logging
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -404,6 +406,27 @@ class TestRejectsBadSpecs:
         "unknown-sweep-key": {"sweep": {"axis": "n_antennas", "value": [8]}},
         "huge-q-max": {"powers": {"q_max_db": 4000}},
         "huge-q-max-sweep-value": {"sweep": {"axis": "q_max_db", "values": [0.0, 4000]}},
+        "null-powers": {"powers": None},
+        "scalar-clusters": {"system": {"clusters": 5}},
+        "scalar-cluster-rows": {"system": {"clusters": [5, 3]}},
+        "scalar-sweep-values": {"sweep": {"axis": "n_antennas", "values": 8}},
+        "sweep-without-axis": {"sweep": {"values": [8, 16]}},
+        "fractional-n-antennas": {"system": {"n_antennas": 16.7}},
+        "inf-n-antennas": {"system": {"n_antennas": math.inf}},
+        "string-n-antennas": {"system": {"n_antennas": "16"}},
+        "fractional-coherence-len": {"system": {"coherence_len": 300.5}},
+        "fractional-pilot-len": {"system": {"pilot_len": 2.5}},
+        "fractional-n-clusters": {"system": {"n_clusters": 2.5}},
+        "fractional-users-per-cluster": {"system": {"users_per_cluster": 1.5}},
+        "fractional-total-users": {"system": {"total_users": 4.5}},
+        "fractional-trials": {"trials": 2.9},
+        "inf-seed": {"seed": math.inf},
+        "fractional-n-antennas-sweep-value": {
+            "sweep": {"axis": "n_antennas", "values": [16, 16.5]}
+        },
+        "fractional-users-per-cluster-sweep-value": {
+            "sweep": {"axis": "users_per_cluster", "values": [1, 1.5]}
+        },
     }
 
     @pytest.mark.parametrize("name", sorted(BAD))
@@ -415,6 +438,38 @@ class TestRejectsBadSpecs:
         assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_object_top_level(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_spec(str(spec_path))
+        out = tmp_path / "out.csv"
+        assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_values_keep_every_digit(self, tmp_path):
+        spec_path = write_spec(
+            tmp_path / "spec.json",
+            system={"n_antennas": 64.0},
+            sweep={"axis": "users_per_cluster", "values": [1, 2.0]},
+            seed=2**60 + 1,
+        )
+        spec = load_spec(str(spec_path))
+        assert (spec.n_antennas, spec.sweep_values, spec.seed) == (64, (1, 2), 2**60 + 1)
+        assert all(type(v) is int for v in (spec.n_antennas, *spec.sweep_values, spec.seed))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["noma_secrecy"]
+    + ["noma_secrecy." + m.name for m in pkgutil.iter_modules(noma_secrecy.__path__)],
+)
+def test_exported_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
 
 
 def test_drawn_gains_share_no_trial_stream(tmp_path):

@@ -12,15 +12,13 @@ from noma_secrecy.model import (
     compute_rho,
 )
 from noma_secrecy.montecarlo import (
-    EstimateSet,
-    an_vector,
-    build_estimates,
-    draw_realization,
+    _an_directions,
+    _chunk_loop,
+    _estimate,
+    _unit_beams,
     ergodic_rate_oracle,
     error_decomposition_check,
-    mmse_estimate,
     moment_suite,
-    mrt_precoder,
     simulate_trials,
 )
 from noma_secrecy.rates import chi_mean, secrecy_report
@@ -42,71 +40,67 @@ P22 = UplinkPower(([0.8, 0.4], [0.6, 0.9]))
 Q22 = DownlinkPower(([1.0, 4.0, 2.0], [0.5, 3.0, 1.5]))
 
 
+def realizations(cfg, n_trials, seed):
+    """The engine's channel draw of each trial, (T, U + 1, N): the users in
+    the flat layout, then the eavesdropper."""
+    (rows,) = _chunk_loop(cfg, n_trials, seed, 1, lambda rngs, rows: (rows,))
+    return rows
+
+
+def estimates(cfg, p, n_trials, seed):
+    """The engine's channel draw and MMSE estimates (T, M, N) of each trial."""
+
+    def run(rngs, rows, y):
+        return rows, _estimate(cfg, p, rows[:, :-1], y)
+
+    return _chunk_loop(cfg, n_trials, seed, 2, run)
+
+
 class TestDrawRealization:
     def test_deterministic_under_seed(self):
-        a = draw_realization(CFG22, np.random.default_rng(42))
-        b = draw_realization(CFG22, np.random.default_rng(42))
-        for m in range(2):
-            np.testing.assert_array_equal(a.h[m], b.h[m])
-        np.testing.assert_array_equal(a.g, b.g)
+        np.testing.assert_array_equal(realizations(CFG22, 1, 42), realizations(CFG22, 1, 42))
 
     def test_shapes(self):
-        real = draw_realization(CFG22, np.random.default_rng(0))
-        assert real.h[0].shape == (2, 16)
-        assert real.g.shape == (16,)
+        rows = realizations(CFG22, 1, 0)[0]
+        assert CFG22.split_users(rows[:-1])[0].shape == (2, 16)
+        assert rows[-1].shape == (16,)
 
     def test_unit_entry_variance(self):
         # Law of large numbers: 1e4 draws of an 8-antenna layout.
         cfg = make_cfg([[1.0]], n_antennas=8, pilot_len=1)
-        rng = np.random.default_rng(1)
-        samples = np.empty((10_000, 8))
-        for t in range(10_000):
-            samples[t] = np.abs(draw_realization(cfg, rng).h[0][0]) ** 2
+        samples = np.abs(realizations(cfg, 10_000, 1)[:, 0]) ** 2
         flat = samples.ravel()
         se = flat.std(ddof=1) / math.sqrt(flat.size)
         assert abs(flat.mean() - 1.0) < 3.0 * se
 
     def test_clusters_uncorrelated(self):
-        rng = np.random.default_rng(2)
-        inner = np.empty(4000, dtype=complex)
-        for t in range(4000):
-            real = draw_realization(CFG22, rng)
-            inner[t] = np.vdot(real.h[0][0], real.h[1][0]) / 16.0
+        # The first user of each cluster: flat users 0 and 2.
+        rows = realizations(CFG22, 4000, 2)
+        inner = np.vecdot(rows[:, 0], rows[:, 2]) / 16.0
         se = inner.real.std(ddof=1) / math.sqrt(inner.size)
         assert abs(inner.real.mean()) < 3.0 * se + 1e-12
 
 
 class TestMmseEstimate:
     def test_zero_power_gives_zero_estimate(self):
-        rng = np.random.default_rng(3)
-        real = draw_realization(CFG22, rng)
-        est = mmse_estimate(CFG22, UplinkPower.full(CFG22, 0.0), real, rng)
+        _, h_hat = estimates(CFG22, UplinkPower.full(CFG22, 0.0), 1, 3)
         for m in range(2):
-            np.testing.assert_array_equal(est.h_hat[m], np.zeros(16))
+            np.testing.assert_array_equal(h_hat[0, m], np.zeros(16))
 
     def test_estimate_aligns_with_channel_at_high_power(self):
         cfg = make_cfg([[5.0]], n_antennas=32, pilot_len=1)
-        p = UplinkPower.full(cfg, 1e7)
-        rng = np.random.default_rng(4)
-        cosines = np.empty(400)
-        for t in range(400):
-            real = draw_realization(cfg, rng)
-            est = mmse_estimate(cfg, p, real, rng)
-            h = real.h[0][0]
-            cosines[t] = abs(np.vdot(est.h_hat[0], h)) / (
-                np.linalg.norm(est.h_hat[0]) * np.linalg.norm(h)
-            )
+        rows, h_hat = estimates(cfg, UplinkPower.full(cfg, 1e7), 400, 4)
+        h, est = rows[:, 0], h_hat[:, 0]
+        cosines = np.abs(np.vecdot(est, h)) / (
+            np.linalg.norm(est, axis=-1) * np.linalg.norm(h, axis=-1)
+        )
         assert cosines.mean() > 0.999
 
     def test_estimate_energy_moment(self):
         # E||h_hat||^2 = N_t * S / (1 + S) with S the summed pilot energy.
-        rng = np.random.default_rng(5)
         n_trials = 10_000
-        norms = np.empty(n_trials)
-        for t in range(n_trials):
-            real = draw_realization(CFG22, rng)
-            est = mmse_estimate(CFG22, P22, real, rng)
-            norms[t] = np.linalg.norm(est.h_hat[0]) ** 2
+        _, h_hat = estimates(CFG22, P22, n_trials, 5)
+        norms = np.linalg.norm(h_hat[:, 0], axis=-1) ** 2
         s = float((P22.p[0] * CFG22.beta(0) * CFG22.pilot_len).sum())
         predicted = 16 * s / (1.0 + s)
         se = norms.std(ddof=1) / math.sqrt(n_trials)
@@ -115,57 +109,36 @@ class TestMmseEstimate:
 
 class TestPrecoderAndAn:
     def test_unit_norm_and_scale_invariance(self):
-        rng = np.random.default_rng(6)
-        real = draw_realization(CFG22, rng)
-        est = mmse_estimate(CFG22, P22, real, rng)
-        with_w = mrt_precoder(est)
-        for w in with_w.w:
-            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-        scaled = mrt_precoder(
-            type(est)(h_hat=tuple(5.0 * h for h in est.h_hat))
-        )
-        for a, b in zip(with_w.w, scaled.w):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+        h_hat = estimates(CFG22, P22, 1, 6)[1][0]
+        _, w = _unit_beams(h_hat)
+        for row in w:
+            assert np.linalg.norm(row) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(w, _unit_beams(5.0 * h_hat)[1], rtol=1e-12)
 
     def test_zero_estimate_rejected(self):
-        est = mmse_estimate(
-            CFG22,
-            UplinkPower.full(CFG22, 0.0),
-            draw_realization(CFG22, np.random.default_rng(7)),
-            np.random.default_rng(7),
-        )
+        _, h_hat = estimates(CFG22, UplinkPower.full(CFG22, 0.0), 1, 7)
         with pytest.raises(ValueError, match="zero vector"):
-            mrt_precoder(est)
+            _unit_beams(h_hat)
 
     def test_an_orthogonal_unit(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            real = draw_realization(CFG22, rng)
-            est = build_estimates(CFG22, P22, real, rng)
-            for m in range(2):
-                assert np.linalg.norm(est.z[m]) == pytest.approx(1.0, rel=1e-12)
-                overlap = abs(np.vdot(est.h_hat[m], est.z[m]))
-                assert overlap / np.linalg.norm(est.h_hat[m]) < 1e-10
+        def run(rngs, rows, y, v):
+            h_hat = _estimate(CFG22, P22, rows[:, :-1], y)
+            return h_hat, _an_directions(h_hat, v, rngs)
 
-    def test_an_needs_two_antennas(self):
-        cfg = make_cfg([[2.0]], n_antennas=1, pilot_len=1)
-        rng = np.random.default_rng(9)
-        real = draw_realization(cfg, rng)
-        est = mmse_estimate(cfg, UplinkPower.full(cfg, 1.0), real, rng)
-        with pytest.raises(ValueError, match="2 antennas"):
-            an_vector(est, rng)
+        h_hat, z = _chunk_loop(CFG22, 20, 8, 3, run)
+        for t in range(20):
+            for m in range(2):
+                assert np.linalg.norm(z[t, m]) == pytest.approx(1.0, rel=1e-12)
+                overlap = abs(np.vdot(h_hat[t, m], z[t, m]))
+                assert overlap / np.linalg.norm(h_hat[t, m]) < 1e-10
 
     def test_chi_mean_single_antenna(self):
         # E||h_hat|| / sqrt(total rho) = Gamma(1.5)/Gamma(1) = sqrt(pi)/2.
         cfg = make_cfg([[3.0]], n_antennas=1, pilot_len=1)
         p = UplinkPower.full(cfg, 0.7)
-        rng = np.random.default_rng(10)
         n_trials = 20_000
-        norms = np.empty(n_trials)
-        for t in range(n_trials):
-            real = draw_realization(cfg, rng)
-            est = mmse_estimate(cfg, p, real, rng)
-            norms[t] = np.linalg.norm(est.h_hat[0])
+        _, h_hat = estimates(cfg, p, n_trials, 10)
+        norms = np.linalg.norm(h_hat[:, 0], axis=-1)
         rho_tot = float(compute_rho(cfg, p).rho[0].sum())
         scaled = norms / math.sqrt(rho_tot)
         se = scaled.std(ddof=1) / math.sqrt(n_trials)
@@ -311,16 +284,22 @@ class ScriptedNormals:
         return out
 
 
-def test_an_redraws_only_the_direction_in_the_estimate_span():
-    # Cluster 0's first draw is a multiple of its estimate e_0, so its
+def test_an_redraws_only_the_direction_in_the_estimate_span(monkeypatch):
+    # Cluster 0's first AN draw is a multiple of its estimate e_0, so its
     # projection is zero and it is drawn again; cluster 1 keeps its draw.
+    cfg = make_cfg([[1.0], [1.0]], n_antennas=4, pilot_len=2)
     h_hat = np.array([[2.0, 0, 0, 0], [0, 1.0, 0, 0]], dtype=complex)
     first = np.random.default_rng(12).standard_normal((4, 4))
     first[0, 1:] = first[1, 1:] = 0.0
     second = np.random.default_rng(13).standard_normal((2, 4))
-    rng = ScriptedNormals(first.copy(), second.copy())
-    z = an_vector(EstimateSet(h_hat=h_hat), rng).z
-    assert rng.shapes == [(4, 4), (2, 4)] and not rng.draws
+    rng = ScriptedNormals(np.zeros((6, 4)), np.zeros((4, 4)), first.copy(), second.copy())
+    monkeypatch.setattr(montecarlo, "_trial_streams", lambda seed, n_trials: iter([rng]))
+
+    def run(rngs, rows, y, v):
+        return (_an_directions(h_hat[None], v, rngs),)
+
+    z = _chunk_loop(cfg, 1, 1, 3, run)[0][0]
+    assert rng.shapes == [(6, 4), (4, 4), (4, 4), (2, 4)] and not rng.draws
 
     def expected(re, im, axis):
         v = (re + 1j * im) / math.sqrt(2.0)

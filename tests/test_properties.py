@@ -25,10 +25,10 @@ from noma_secrecy.model import (
     db_to_linear,
 )
 from noma_secrecy.montecarlo import (
+    _chunk_loop,
+    _estimate,
     _rate_samples,
-    draw_realization,
     ergodic_rate_oracle,
-    mmse_estimate,
     moment_suite,
     simulate_trials,
 )
@@ -425,7 +425,11 @@ def test_an_redraw_comes_from_its_own_trial_after_its_three_draws():
     # last cluster is the one whose redraw the per-cluster pipeline also
     # takes after every other draw of the trial.
     stream = NormalStream(values[target])
-    h_hat = mmse_estimate(cfg, p, draw_realization(cfg, stream), stream).h_hat[-1]
+    with mock.patch.object(montecarlo, "_trial_streams", lambda seed, count: iter([stream])):
+        (h_hat,) = _chunk_loop(
+            cfg, 1, seed, 2, lambda rngs, rows, y: (_estimate(cfg, p, rows[:, :-1], y),)
+        )
+    h_hat = h_hat[0, -1]
     start = stream.used + 2 * (cfg.n_clusters - 1) * n
     values[target][start : start + 2 * n] = np.concatenate((h_hat.real, h_hat.imag))
 
