@@ -5,7 +5,7 @@ Layout:
     model       system description, power variables, estimation quality
     rates       closed-form ergodic rates, asymptotes, energy efficiency
     montecarlo  link-level simulation oracles for every closed form
-    projgrad    projected-gradient maximizer (box / capped-sum sets)
+    projgrad    projected Newton / gradient maximizer (box / capped-sum sets)
     optimize    DC power-allocation solvers, baselines, OMA benchmark
     experiments experiment drivers and CSV emission
     cli         command-line entry point

@@ -162,6 +162,14 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _text(name: str, value) -> str:
+    """A spec string: non-empty, and never a number or null turned into
+    text."""
+    if not isinstance(value, str) or not value:
+        raise ValueError("%s must be a non-empty string, got %r" % (name, value))
+    return value
+
+
 def _db(name: str, value) -> float:
     x = _finite(name, value)
     db_to_linear(x)  # rejects a value whose linear power overflows
@@ -185,7 +193,7 @@ def load_spec(path: str) -> ExperimentSpec:
     if unknown:
         raise ValueError("unknown experiment spec key(s): %s" % ", ".join(unknown))
     try:
-        scenario = str(raw["scenario"])
+        scenario = _text("scenario", raw["scenario"])
         system = raw["system"]
     except KeyError as exc:
         raise ValueError("experiment spec is missing the %s section" % exc) from exc
@@ -251,7 +259,7 @@ def load_spec(path: str) -> ExperimentSpec:
         sweep_values=sweep_values,
         trials=trials,
         seed=_integer("seed", raw.get("seed", 0)),
-        output=str(raw["output"]) if "output" in raw else None,
+        output=_text("output", raw["output"]) if "output" in raw else None,
     )
     if spec.circuit_power_db is not None and db_to_linear(spec.circuit_power_db) == 0.0:
         raise ValueError("powers.circuit_power_db is too small for a positive linear power")

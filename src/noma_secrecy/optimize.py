@@ -22,6 +22,10 @@ form of DC power allocation). One `LogAffine` type evaluates every such
 half and its gradient A^T (w / (A x + b)) / ln 2; the stage builders only
 assemble A, b and w from the layout's indicator matrices. The gradients
 are validated against central finite differences in the test suite.
+The concave half's Hessian, -A^T diag(w / (A x + b)^2) A / ln 2, costs one
+small matrix product; it is the only curvature of a DC surrogate (the
+linearized half and the power penalty are linear), so every DC step hands
+it to the kernel, which then takes projected Newton steps.
 
 A stage holds one side's powers fixed, so its forms and its feasible set
 (the per-user box on the uplink, the capped nonnegative set on the
@@ -114,15 +118,24 @@ class LogAffine:
     b: np.ndarray
     w: np.ndarray
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and exact gradient (1/ln 2 included) at x."""
+    def _arguments(self, x: np.ndarray) -> np.ndarray:
         args = self.A @ x + self.b
         if np.any(args <= 0.0):
             # Cannot happen for nonnegative powers (every argument is an
             # interference-plus-noise power, in the uplink times the pilot
             # normalizer, so positive); guard against stray inputs.
             raise FloatingPointError("non-positive log argument")
+        return args
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and exact gradient (1/ln 2 included) at x."""
+        args = self._arguments(x)
         return float(self.w @ np.log2(args)), self.A.T @ (self.w / args) / _LN2
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Exact Hessian -A^T diag(w / (A x + b)^2) A / ln 2 at x."""
+        args = self._arguments(x)
+        return -((self.A.T * (self.w / (args * args))) @ self.A) / _LN2
 
 
 def _objective(cfg: SystemConfig, forms, x: np.ndarray, penalty: float):
@@ -230,10 +243,11 @@ class SolverTrace:
     sequence of each stage. epsilons records the per-round gap between
     the downlink- and uplink-stage objectives (sign included);
     lambda_sequence is filled by the energy-efficiency loop only.
-    kernel_stops counts the projected-gradient calls of every DC step by
-    stop reason ("stationary", "floor" or "cap"; see `SolveResult`), and
-    stage_caps the DC stages that ran max_inner steps while still gaining
-    at least inner_tol per step.
+    kernel_stops counts the kernel calls of every DC step by stop reason
+    ("stationary", "floor" or "cap"; see `SolveResult`), kernel_fallbacks
+    their iterations whose projected Newton trial fell back to the
+    gradient step, and stage_caps the DC stages that ran max_inner steps
+    while still gaining at least inner_tol per step.
     """
 
     outer_values: list[float] = field(default_factory=list)
@@ -241,6 +255,7 @@ class SolverTrace:
     epsilons: list[float] = field(default_factory=list)
     lambda_sequence: list[float] = field(default_factory=list)
     kernel_stops: Counter[str] = field(default_factory=Counter)
+    kernel_fallbacks: int = 0
     stage_caps: int = 0
     converged: bool = False
 
@@ -262,8 +277,9 @@ def _dc_step(cfg: SystemConfig, stage, x_prev, penalty, options, trace) -> np.nd
     """One DC iteration of a stage (its forms and feasible set) from
     x_prev: maximize the concave surrogate
     overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
-    - penalty * sum x over the feasible set. The kernel's stop reason is
-    counted in trace.kernel_stops when a trace is given."""
+    - penalty * sum x over the feasible set, whose Hessian is the
+    concave half's times overhead. The kernel's stop reason and Newton
+    fallbacks are counted in the trace when one is given."""
     (concave, sub), feasible_set = stage
     scale = cfg.overhead
     sub_prev, sub_grad_prev = sub.evaluate(x_prev)
@@ -275,7 +291,12 @@ def _dc_step(cfg: SystemConfig, stage, x_prev, penalty, options, trace) -> np.nd
         value = scale * value - penalty * float(x.sum()) - float(lin @ x) + const
         return value, scale * grad - penalty - lin
 
-    problem = ConcaveProblem(dim=x_prev.size, evaluate=surrogate, feasible_set=feasible_set)
+    problem = ConcaveProblem(
+        dim=x_prev.size,
+        evaluate=surrogate,
+        feasible_set=feasible_set,
+        hessian=lambda x: scale * concave.hessian(x),
+    )
     result = maximize(
         problem,
         x_prev,
@@ -284,6 +305,7 @@ def _dc_step(cfg: SystemConfig, stage, x_prev, penalty, options, trace) -> np.nd
     )
     if trace is not None:
         trace.kernel_stops[result.stop] += 1
+        trace.kernel_fallbacks += result.fallbacks
     return result.point
 
 
@@ -338,8 +360,17 @@ def _stage_objective(cfg, p, q, lam, circuit_power) -> float:
     return value
 
 
-def _warn_cap_hits(solver: str, trace: SolverTrace) -> None:
-    caps = trace.kernel_stops["cap"]
+def _report_kernel(solver: str, trace: SolverTrace) -> None:
+    """One DEBUG line on the solve's kernel calls, and a WARNING when any
+    of them hit the iteration cap."""
+    stops = trace.kernel_stops
+    log.debug(
+        "%s: %d kernel calls (%s), %d Newton fallbacks, %d capped DC stages",
+        solver, stops.total(),
+        ", ".join("%s %d" % (reason, stops[reason]) for reason in ("stationary", "floor", "cap")),
+        trace.kernel_fallbacks, trace.stage_caps,
+    )
+    caps = stops["cap"]
     if caps:
         log.warning(
             "%s: %d of %d kernel calls stopped at the iteration cap",
@@ -450,7 +481,7 @@ def maximize_se(
     options = options or SolveOptions()
     p0, q0 = baseline_fixed(cfg, p_max, q_max)
     p, q, trace = _alternate(cfg, p_max, q_max, p0, q0, options)
-    _warn_cap_hits("maximize_se", trace)
+    _report_kernel("maximize_se", trace)
     report = secrecy_report(cfg, p, q)
     return p, q, report, trace
 
@@ -496,6 +527,7 @@ def maximize_ee(
             outer_tol=options.ee_outer_tol,
         )
         trace.kernel_stops.update(round_trace.kernel_stops)
+        trace.kernel_fallbacks += round_trace.kernel_fallbacks
         trace.stage_caps += round_trace.stage_caps
         se_smooth = smooth_secrecy_sum(cfg, p, q)
         denom = p.total() + q.total() + circuit_power
@@ -516,7 +548,7 @@ def maximize_ee(
             trace.converged = True
             break
 
-    _warn_cap_hits("maximize_ee", trace)
+    _report_kernel("maximize_ee", trace)
     report = secrecy_report(cfg, p, q)
     ee = energy_efficiency(report, p, q, circuit_power)
     return p, q, ee, trace

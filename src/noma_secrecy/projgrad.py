@@ -1,20 +1,38 @@
-"""Projected-gradient maximizer for smooth concave objectives.
+"""Projected Newton / projected-gradient maximizer for smooth concave
+objectives.
 
 Covers the two feasible sets the power-allocation solvers need: a box
 (per-user uplink caps) and a nonnegative capped-sum set (total downlink
 budget). Problem dimensions are tens at most and every objective is a
-sum of logs of affine forms with cheap exact gradients, so a monotone
-first-order method with backtracking is simpler and more predictable
+sum of logs of affine forms with cheap exact gradients and Hessians, so
+a monotone method with backtracking is simpler and more predictable
 than an interior-point solver.
 
-Each line search starts from the spectral step of Barzilai & Borwein
-(IMA J. Numer. Anal., 1988) and keeps the monotone Armijo acceptance,
-as in the spectral projected gradient of Birgin, Martinez & Raydan
-(SIAM J. Optim., 2000). The spectral step adapts to the curvature along
-the last step, so ill-conditioned surrogates (curvatures spread over
-orders of magnitude) need far fewer iterations than a step carried over
-from the previous search. Every result says how the iteration stopped:
-at a stationary point, at the backtracking floor, or at the cap.
+When the problem supplies a Hessian oracle, each iteration first tries
+a projected Newton step on the variables that are not held at a bound.
+On the box this is Bertsekas' method (SIAM J. Control Optim., 1982):
+a variable within epsilon of a bound whose gradient pushes it outward
+takes the plain gradient step, and the free variables take the Newton
+step of their block of the Hessian. On the capped nonnegative set with
+a binding cap, the free variables take the Newton step of the cap's
+face (an equality-constrained step, solved with the face's multiplier
+in one KKT system), in the spirit of Gafni & Bertsekas (SIAM J. Control
+Optim., 1984); the variables at zero that the projected gradient also
+puts at zero move to zero. The step is searched along the projection
+arc P(x + alpha d) with the same Armijo test as the gradient step. A
+singular system, a non-finite direction or a failed arc search counts
+one fallback, and the iteration then takes the spectral gradient step.
+
+The gradient step starts its line search from the spectral step of
+Barzilai & Borwein (IMA J. Numer. Anal., 1988) and keeps the monotone
+Armijo acceptance, as in the spectral projected gradient of Birgin,
+Martinez & Raydan (SIAM J. Optim., 2000). The spectral step adapts to
+the curvature along the last step, so ill-conditioned surrogates
+(curvatures spread over orders of magnitude) need far fewer iterations
+than a step carried over from the previous search. Problems without a
+Hessian take only this step. Every result says how the iteration
+stopped: at a stationary point, at the backtracking floor, or at the
+cap, and how many Newton trials fell back.
 
 Objectives may return -inf to flag an out-of-domain point (e.g. a log
 argument below its guard); the line search treats that as a rejected
@@ -45,6 +63,10 @@ _STEP0 = 1.0
 _SHRINK = 0.5
 _ARMIJO = 1e-4
 _GROW = 2.0
+# Projected Newton: the largest epsilon of the epsilon-active set (it is
+# min(_EPS0, stationarity residual)) and the most halvings of the arc search.
+_EPS0 = 1e-3
+_NEWTON_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -98,12 +120,15 @@ class ConcaveProblem:
     """Value/gradient oracle plus its feasible set.
 
     `evaluate` maps a point to (objective value, gradient vector); the
-    caller guarantees concavity and differentiability on the set.
+    caller guarantees concavity and differentiability on the set. The
+    optional `hessian` maps a point to the objective's Hessian; when it
+    is given, `maximize` tries projected Newton steps.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     feasible_set: object
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -112,7 +137,8 @@ class SolveResult:
 
     `stop` says why the iteration ended: "stationary" (the residual fell
     to tol), "floor" (no step above the backtracking floor ascended) or
-    "cap" (max_iter iterations ran).
+    "cap" (max_iter iterations ran). `fallbacks` counts the iterations
+    whose projected Newton trial failed and took the gradient step.
     """
 
     point: np.ndarray
@@ -121,6 +147,7 @@ class SolveResult:
     iterations: int
     stop: str
     history: list[float] = field(default_factory=list)
+    fallbacks: int = 0
 
     @property
     def converged(self) -> bool:
@@ -135,22 +162,32 @@ def maximize(
     tol: float = 1e-7,
     max_iter: int = 500,
 ) -> SolveResult:
-    """Projected-gradient ascent with Armijo backtracking.
+    """Projected Newton / projected-gradient ascent with Armijo
+    backtracking.
 
-    Each line search starts from the spectral (Barzilai-Borwein) step
-    ||s||^2 / s.y, with s = x - x_prev and y = grad_prev - grad over the
-    last accepted step. s.y >= 0 on a concave objective, and the step is
-    the inverse of its mean curvature along s. On the first iteration,
-    and whenever s.y <= 0 (a linear objective, for one), it falls back
-    to the last accepted step times `_GROW`, starting from `_STEP0`.
-    Trial steps are capped at 1e12 and shrunk (times `_SHRINK`) until the
-    Armijo test (fraction `_ARMIJO`) passes, so the objective sequence is
-    nondecreasing.
+    With `problem.hessian` given, each iteration first tries a projected
+    Newton step (see `_newton_direction` for the epsilon-active and face
+    rules, with epsilon = min(`_EPS0`, residual)). Its arc search tries
+    P(x + alpha d) from alpha = 1, halving up to `_NEWTON_HALVINGS`
+    times, and accepts the first point with a positive ascent estimate
+    g.(x(alpha) - x) that passes the Armijo test below. When the system is
+    singular, d is not finite or no trial passes, the iteration counts a
+    fallback and takes the gradient step.
+
+    The gradient step's line search starts from the spectral
+    (Barzilai-Borwein) step ||s||^2 / s.y, with s = x - x_prev and
+    y = grad_prev - grad over the last accepted step. s.y >= 0 on a
+    concave objective, and the step is the inverse of its mean curvature
+    along s. On the first iteration, and whenever s.y <= 0 (a linear
+    objective, for one), it falls back to the last accepted gradient step
+    times `_GROW`, starting from `_STEP0`. Trial steps are capped at 1e12
+    and shrunk (times `_SHRINK`) until the Armijo test (fraction
+    `_ARMIJO`) passes, so the objective sequence is nondecreasing.
 
     Iteration stops once the unit-step projected-gradient residual
-    ||x - P(x + grad)|| falls to tol ("stationary"), when no trial step
-    above 1e-18 ascends ("floor"), or after max_iter iterations ("cap");
-    `SolveResult.stop` holds which.
+    ||x - P(x + grad)|| falls to tol ("stationary"), when no gradient
+    trial step above 1e-18 ascends ("floor"), or after max_iter
+    iterations ("cap"); `SolveResult.stop` holds which.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size != problem.dim:
@@ -166,48 +203,38 @@ def maximize(
     step = _STEP0
     previous = None  # (point, gradient) before the last accepted step
     iterations = 0
+    fallbacks = 0
     stationarity = np.inf
     stop = "cap"
     for iterations in range(1, max_iter + 1):
-        residual = x - project(problem.feasible_set, x + grad)
-        stationarity = float(np.linalg.norm(residual))
+        target = project(problem.feasible_set, x + grad)
+        stationarity = float(np.linalg.norm(x - target))
         if stationarity <= tol:
             stop = "stationary"
             iterations -= 1
             break
 
-        alpha = step * _GROW
-        if previous is not None:
-            s = x - previous[0]
-            sy = float(s @ (previous[1] - grad))
-            if sy > 0.0:
-                alpha = float(s @ s) / sy
-        alpha = min(alpha, 1e12)
-        accepted = False
-        while alpha > 1e-18:
-            candidate = project(problem.feasible_set, x + alpha * grad)
-            direction = candidate - x
-            gain = float(grad @ direction)
-            if gain <= 0.0 or np.linalg.norm(direction) == 0.0:
-                alpha *= _SHRINK
-                continue
-            cand_value, cand_grad = problem.evaluate(candidate)
-            if np.isfinite(cand_value) and cand_value >= value + _ARMIJO * gain:
-                if not np.all(np.isfinite(cand_grad)):
-                    raise ValueError(
-                        "non-finite gradient at accepted point %r" % (candidate,)
-                    )
-                previous = (x, grad)
-                x, value, grad = candidate, float(cand_value), cand_grad
-                step = alpha
-                accepted = True
+        accepted = None
+        if problem.hessian is not None:
+            accepted = _newton_step(problem, x, value, grad, target, min(_EPS0, stationarity))
+            if accepted is None:
+                fallbacks += 1
+        if accepted is None:
+            alpha = step * _GROW
+            if previous is not None:
+                s = x - previous[0]
+                sy = float(s @ (previous[1] - grad))
+                if sy > 0.0:
+                    alpha = float(s @ s) / sy
+            accepted = _arc_search(problem, x, value, grad, grad, min(alpha, 1e12), 1e-18)
+            if accepted is None:
+                # No ascent direction survives the backtracking floor:
+                # treat the current point as stationary.
+                stop = "floor"
                 break
-            alpha *= _SHRINK
-        if not accepted:
-            # No ascent direction survives the backtracking floor: treat
-            # the current point as stationary.
-            stop = "floor"
-            break
+            step = accepted[3]
+        previous = (x, grad)
+        x, value, grad = accepted[:3]
         history.append(value)
 
     return SolveResult(
@@ -217,7 +244,87 @@ def maximize(
         iterations=iterations,
         stop=stop,
         history=history,
+        fallbacks=fallbacks,
     )
+
+
+def _arc_search(problem, x, value, grad, direction, alpha, floor):
+    """Backtrack along the projection arc P(x + alpha direction), halving
+    alpha while it is above floor, to the first point with a positive
+    ascent estimate gain = grad.(x(alpha) - x) that passes the Armijo
+    test f(x(alpha)) >= f(x) + _ARMIJO gain. Returns (point, value,
+    gradient, alpha), or None when no trial passes."""
+    while alpha > floor:
+        candidate = project(problem.feasible_set, x + alpha * direction)
+        gain = float(grad @ (candidate - x))
+        if gain > 0.0:
+            cand_value, cand_grad = problem.evaluate(candidate)
+            if np.isfinite(cand_value) and cand_value >= value + _ARMIJO * gain:
+                if not np.all(np.isfinite(cand_grad)):
+                    raise ValueError(
+                        "non-finite gradient at accepted point %r" % (candidate,)
+                    )
+                return candidate, float(cand_value), cand_grad, alpha
+        alpha *= _SHRINK
+    return None
+
+
+def _newton_step(problem, x, value, grad, target, eps):
+    """The arc search of the projected Newton direction from alpha = 1,
+    or None when the direction is singular or not finite or the search
+    fails."""
+    try:
+        direction = _newton_direction(
+            problem.feasible_set, x, grad, problem.hessian(x), target, eps
+        )
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(direction)):
+        return None
+    return _arc_search(
+        problem, x, value, grad, direction, 1.0, _SHRINK ** (_NEWTON_HALVINGS + 1)
+    )
+
+
+def _newton_direction(feasible_set, x, grad, hess, target, eps):
+    """The projected Newton direction at x; a singular system raises
+    LinAlgError.
+
+    target = P(x + grad). On the box, and on the capped set while its sum
+    is more than eps below the cap or target leaves the cap slack, a
+    variable within eps of a bound with the gradient pushing outward is
+    epsilon-active and takes d_i = grad_i; the free variables F take
+    d_F = solve(-H_FF, grad_F). With the cap binding, the variables with
+    x_i <= eps that target puts at zero take d_i = -x_i, and the free
+    ones solve the face's KKT system
+
+        [-H_FF 1; 1' 0] [d_F; nu] = [grad_F; slack + sum x_A],
+
+    so x + d sums to the cap; nu estimates the water-filling threshold
+    of target, which is the cap's multiplier at a KKT point.
+    """
+    if isinstance(feasible_set, CappedSimplex):
+        cap = feasible_set.cap
+        slack = cap - float(x.sum())
+        if slack <= eps and np.maximum(x + grad, 0.0).sum() > cap:
+            active = (x <= eps) & (target == 0.0)
+            free = np.flatnonzero(~active)
+            kkt = np.ones((free.size + 1, free.size + 1))
+            kkt[:-1, :-1] = -hess[np.ix_(free, free)]
+            kkt[-1, -1] = 0.0
+            solution = np.linalg.solve(kkt, np.append(grad[free], slack + x[active].sum()))
+            direction = -x
+            direction[free] = solution[:-1]
+            return direction
+        lower, upper = 0.0, np.inf
+    else:
+        lower, upper = feasible_set.lower, feasible_set.upper
+    active = ((x <= lower + eps) & (grad < 0.0)) | ((x >= upper - eps) & (grad > 0.0))
+    free = np.flatnonzero(~active)
+    direction = grad.copy()
+    if free.size:
+        direction[free] = np.linalg.solve(-hess[np.ix_(free, free)], grad[free])
+    return direction
 
 
 def finite_difference_gradient(

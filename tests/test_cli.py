@@ -427,6 +427,12 @@ class TestRejectsBadSpecs:
         "fractional-users-per-cluster-sweep-value": {
             "sweep": {"axis": "users_per_cluster", "values": [1, 1.5]}
         },
+        "null-output": {"output": None},
+        "numeric-output": {"output": 5},
+        "empty-output": {"output": ""},
+        "null-scenario": {"scenario": None},
+        "list-scenario": {"scenario": [1, 2]},
+        "empty-scenario": {"scenario": ""},
     }
 
     @pytest.mark.parametrize("name", sorted(BAD))
@@ -438,6 +444,22 @@ class TestRejectsBadSpecs:
         assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("output", None), ("output", 5), ("scenario", [1, 2]), ("scenario", None)]
+    )
+    def test_text_keys_are_named_and_nothing_is_written(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # Without --out the spec's output field names the file, so a
+        # null output must not turn into a file called "None".
+        monkeypatch.chdir(tmp_path)
+        spec_path = write_spec(tmp_path / "spec.json", **{"output": "out.csv", key: value})
+        with pytest.raises(ValueError, match=key):
+            load_spec(str(spec_path))
+        assert main(["rates", "--spec", str(spec_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_non_object_top_level(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -499,6 +499,52 @@ class TestKernelStops:
             assert trace.kernel_stops.total() == len(kernel_stops) == len(trace.outer_values) - 1
 
 
+class TestKernelFallbacks:
+    @pytest.fixture
+    def kernel_fallbacks(self, monkeypatch):
+        """Newton fallbacks of every kernel call, recorded beside the
+        solver, which must hand each call a Hessian."""
+        seen = []
+
+        def recording(problem, *args, **kwargs):
+            assert problem.hessian is not None
+            result = maximize(problem, *args, **kwargs)
+            seen.append(result.fallbacks)
+            return result
+
+        monkeypatch.setattr(optimize_module, "maximize", recording)
+        return seen
+
+    @staticmethod
+    def summary(solver, trace):
+        stops = trace.kernel_stops
+        return (
+            "%s: %d kernel calls (stationary %d, floor %d, cap %d), "
+            "%d Newton fallbacks, %d capped DC stages" % (
+                solver, stops.total(), stops["stationary"], stops["floor"], stops["cap"],
+                trace.kernel_fallbacks, trace.stage_caps,
+            )
+        )
+
+    def test_se_counts_and_logs_its_fallbacks(self, kernel_fallbacks, caplog):
+        cfg = scenario(40, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_se(cfg, 1.0, 10.0)
+        assert trace.kernel_fallbacks == sum(kernel_fallbacks)
+        assert self.summary("maximize_se", trace) in [r.getMessage() for r in caplog.records]
+
+    def test_ee_merges_every_round(self, kernel_fallbacks, caplog):
+        # The power penalty switches users off, and a user without
+        # downlink power leaves the uplink surrogate linear along a
+        # direction: its Newton systems are near singular and fall back.
+        cfg = scenario(41, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5)
+        assert len(trace.epsilons) > 1
+        assert trace.kernel_fallbacks == sum(kernel_fallbacks) > 0
+        assert self.summary("maximize_ee", trace) in [r.getMessage() for r in caplog.records]
+
+
 class TestStageCaps:
     """With max_inner=1 every stage takes one DC step, and it is cut at
     the cap exactly when that step gained at least inner_tol."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from noma_secrecy.projgrad import (
     Box,
     CappedSimplex,
     ConcaveProblem,
+    _newton_direction,
     finite_difference_gradient,
     maximize,
     project,
@@ -114,6 +116,27 @@ class TestMaximize:
             val = math.log1p(a) + math.log1p(b)
             best = max(best, val)
         assert res.value >= best - 1e-6
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0], [0.3, 0.1], [2.0, 0.0]])
+    def test_newton_reaches_the_symmetric_log_sum_optimum_without_fallback(self, start):
+        # The same problem with its Hessian -diag(1 / (1 + x)^2). The cap
+        # binds at the optimum, so from the corner (2, 0) every Newton
+        # step runs on the cap's face.
+        cap = 2.0
+
+        def evaluate(x):
+            return float(np.log1p(x).sum()), 1.0 / (1.0 + x)
+
+        problem = ConcaveProblem(
+            dim=2,
+            evaluate=evaluate,
+            feasible_set=CappedSimplex(cap),
+            hessian=lambda x: -np.diag(1.0 / (1.0 + x) ** 2),
+        )
+        res = maximize(problem, np.array(start), tol=1e-10, max_iter=2000)
+        assert (res.stop, res.fallbacks) == ("stationary", 0)
+        np.testing.assert_allclose(res.point, [cap / 2, cap / 2], atol=1e-10)
+        assert np.all(np.diff(res.history) >= 0.0)
 
     def test_already_optimal_start(self):
         center = np.array([0.5, 0.5])
@@ -237,6 +260,58 @@ class TestStopReasons:
         res = maximize(problem, np.zeros(1))
         assert (res.stop, res.converged, res.iterations) == ("floor", True, 1)
         assert res.stationarity > 1e-7
+
+
+class TestNewtonDirection:
+    HESS = -np.diag([1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("grad_2, d_2", [(-0.4, -0.1), (0.4, 0.4)])
+    def test_box_epsilon_active_variables_take_the_gradient_step(self, grad_2, d_2):
+        # x_0 sits within eps of its lower bound with the gradient pushing
+        # out, so it is epsilon-active. x_2 sits within eps of its upper
+        # bound: free (Newton step) while the gradient pushes it in,
+        # epsilon-active (gradient step) while it pushes out.
+        box = Box(np.zeros(3), np.ones(3))
+        x = np.array([1e-4, 0.5, 1.0 - 1e-4])
+        grad = np.array([-0.3, 0.2, grad_2])
+        d = _newton_direction(box, x, grad, self.HESS, project(box, x + grad), 1e-3)
+        np.testing.assert_array_equal(d, [-0.3, 0.1, d_2])
+
+    def test_face_step_lands_on_the_cap_and_zeroes_the_active_variables(self):
+        # On the cap, x_0 <= eps and P(x + grad) puts it at 0, so it is
+        # active; the free pair solves -H_FF d_F + nu = grad_F with one nu.
+        cap = 2.0
+        x = np.array([1e-5, 0.7, cap - 0.7 - 1e-5])
+        grad = np.array([-1.0, 0.5, 0.4])
+        target = project(CappedSimplex(cap), x + grad)
+        assert target[0] == 0.0
+        d = _newton_direction(CappedSimplex(cap), x, grad, self.HESS, target, 1e-3)
+        assert d[0] == -x[0]
+        assert (x + d).sum() == pytest.approx(cap, rel=1e-15)
+        nu = grad[1:] + self.HESS[1:, 1:] @ d[1:]
+        assert nu[0] == pytest.approx(nu[1], rel=1e-14)
+
+
+class TestNewtonFallback:
+    @pytest.mark.parametrize(
+        "feasible_set", [Box(np.zeros(3), np.full(3, 2.0)), CappedSimplex(2.0)]
+    )
+    def test_singular_hessian_takes_the_spectral_step_every_iteration(self, feasible_set):
+        # A linear objective has a zero Hessian, so every Newton system is
+        # singular and the run is the Hessian-free one, step for step.
+        weights = np.array([1e-3, 3e-3, 2e-3])
+
+        def evaluate(x):
+            return float(weights @ x), weights.copy()
+
+        plain = ConcaveProblem(dim=3, evaluate=evaluate, feasible_set=feasible_set)
+        newton = dataclasses.replace(plain, hessian=lambda x: np.zeros((3, 3)))
+        res = maximize(newton, np.zeros(3))
+        ref = maximize(plain, np.zeros(3))
+        assert res.stop == ref.stop == "stationary"
+        assert res.fallbacks == res.iterations == ref.iterations > 0 and ref.fallbacks == 0
+        assert res.history == ref.history
+        np.testing.assert_array_equal(res.point, ref.point)
 
 
 class TestFiniteDifference:

@@ -3,6 +3,7 @@ cluster sizes unequal whenever there is more than one cluster, since the
 flat per-user layout's segment offsets are what such layouts exercise."""
 
 import csv
+import dataclasses
 import math
 import os
 import tempfile
@@ -45,7 +46,14 @@ from noma_secrecy.optimize import (
     smooth_secrecy_sum,
     uplink_dc_step,
 )
-from noma_secrecy.projgrad import Box, CappedSimplex, finite_difference_gradient, project
+from noma_secrecy.projgrad import (
+    Box,
+    CappedSimplex,
+    ConcaveProblem,
+    finite_difference_gradient,
+    maximize,
+    project,
+)
 from noma_secrecy.rates import (
     chi_mean,
     eaves_rate,
@@ -161,6 +169,37 @@ def test_part_gradients_match_finite_differences(instance):
     fd_s = finite_difference_gradient(lambda x: sub.evaluate(x)[0], q.flat())
     assert _rel_err(cg, fd_c) < GRADIENT_RTOL
     assert _rel_err(sg, fd_s) < GRADIENT_RTOL
+
+
+def _hessian_by_differences(form, x, step=1e-6):
+    """Central differences of form's exact gradient, column by column."""
+    columns = []
+    for i in range(x.size):
+        h = step * max(1.0, abs(x[i]))
+        forward, backward = x.copy(), x.copy()
+        forward[i] += h
+        backward[i] -= h
+        columns.append((form.evaluate(forward)[1] - form.evaluate(backward)[1]) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+@PROPERTY
+@given(instances())
+def test_part_hessians_match_finite_differences(instance):
+    cfg, p, q, _ = instance
+    rho = compute_rho(cfg, p)
+    stages = (
+        (_uplink_forms(cfg, _uplink_coeffs(cfg, q)), p.flat()),
+        (_downlink_forms(cfg, _downlink_coeffs(cfg, rho)), q.flat()),
+    )
+    for forms, x in stages:
+        for form in forms:
+            hess = form.hessian(x)
+            scale = np.abs(hess).max()
+            assert hess.shape == (x.size, x.size) and scale > 0.0
+            assert _rel_err(hess, _hessian_by_differences(form, x)) < GRADIENT_RTOL
+            np.testing.assert_allclose(hess, hess.T, rtol=0.0, atol=1e-13 * scale)
+            assert np.linalg.eigvalsh(hess).max() <= 1e-12 * scale
 
 
 @PROPERTY
@@ -509,3 +548,81 @@ def test_capped_simplex_projection_is_idempotent(x, share, active):
     if not active:
         assert np.array_equal(once, np.maximum(x, 0.0))
     np.testing.assert_allclose(project(CappedSimplex(cap), once), once, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def kernel_problems(draw):
+    """(problem with a Hessian, start point, off): a concave quadratic or
+    a log-sum minus a linear term, on a box or a capped simplex. On a
+    "face" instance the optimum lies on the simplex's cap with the first
+    `off` coordinates at 0 (their gradient is negative everywhere near
+    it); `off` is None on the others."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    where = draw(st.sampled_from(["box", "simplex", "face"]))
+    if where == "face":
+        n = max(n, 2)
+        off = draw(st.integers(1, n - 1))
+    cap = rng.uniform(0.5, 3.0)
+    if draw(st.booleans()):
+        # Quadratic -1/2 (x - c)' Q (x - c). On a face instance the
+        # coupling is too weak to move the optimum off the cap.
+        root = rng.normal(size=(n, n)) * (1e-3 / n if where == "face" else 1.0)
+        curvature = np.diag(rng.uniform(1.0, 10.0, n)) + root.T @ root
+        center = rng.uniform(-2.0, 3.0, n)
+        if where == "face":
+            center = 2.0 * cap + rng.uniform(0.0, 1.0, n)
+            center[:off] = -100.0
+
+        def evaluate(x):
+            diff = x - center
+            return -0.5 * float(diff @ curvature @ diff), -curvature @ diff
+
+        def hessian(x):
+            return -curvature
+
+        lower = rng.uniform(-1.0, 0.0, n)
+    else:
+        # sum_j w_j log2(a_j' x + b_j) - lin' x, with a, b > 0 so every
+        # log argument is positive on x >= 0.
+        form = LogAffine(
+            A=rng.uniform(0.0, 1.0, (n + 2, n)),
+            b=rng.uniform(0.1, 1.0, n + 2),
+            w=rng.uniform(0.5, 2.0, n + 2),
+        )
+        lin = rng.uniform(-0.5, 3.0, n)
+        if where == "face":
+            lin = np.full(n, -1.0)
+            lin[:off] = 1e3
+
+        def evaluate(x):
+            value, grad = form.evaluate(x)
+            return value - float(lin @ x), grad - lin
+
+        hessian = form.hessian
+        lower = np.zeros(n)
+    if where == "box":
+        feasible_set = Box(lower=lower, upper=lower + rng.uniform(0.1, 2.0, n))
+    else:
+        feasible_set = CappedSimplex(cap)
+    problem = ConcaveProblem(dim=n, evaluate=evaluate, feasible_set=feasible_set, hessian=hessian)
+    x0 = project(feasible_set, rng.uniform(-1.0, 2.0, n))
+    return problem, x0, off if where == "face" else None
+
+
+@PROPERTY
+@given(kernel_problems())
+def test_newton_kernel_matches_the_gradient_kernel(instance):
+    problem, x0, off = instance
+    tol = 1e-7
+    newton = maximize(problem, x0, tol=tol, max_iter=300)
+    gradient = maximize(dataclasses.replace(problem, hessian=None), x0, tol=tol, max_iter=20000)
+    # The gradient kernel may end at its backtracking floor near the
+    # optimum, where rounding decides its Armijo test.
+    assert newton.stop == "stationary" and gradient.stop != "cap"
+    assert np.all(np.diff(newton.history) >= 0.0)
+    assert abs(newton.value - gradient.value) <= tol * (1.0 + abs(gradient.value))
+    if off is not None:
+        cap = problem.feasible_set.cap
+        assert newton.point.sum() == pytest.approx(cap, rel=1e-12)
+        assert np.all(newton.point[:off] == 0.0)
