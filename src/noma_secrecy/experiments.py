@@ -349,6 +349,26 @@ def _companion(path: str, suffix: str) -> str:
     return "%s_%s%s" % (stem, suffix, ext or ".csv")
 
 
+def _write_tables(out: str, tables) -> list[str]:
+    """Write each (suffix, header, rows) table to `out` (suffix None) or
+    to its companion file. A non-finite number in any cell raises
+    ValueError naming its column before any file is opened: rates and
+    powers overflow to inf or nan when gains or powers are far out of
+    range, and such a file must not pass for a result."""
+    for _, header, rows in tables:
+        for row in rows:
+            for column, value in zip(header, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(
+                        "non-finite %s (%s) in the results: the spec's gains or powers "
+                        "are out of range" % (column, _fmt(value))
+                    )
+    return [
+        _write_csv(out if suffix is None else _companion(out, suffix), header, rows)
+        for suffix, header, rows in tables
+    ]
+
+
 def _allocation_rows(
     head: list,
     cfg: SystemConfig,
@@ -401,10 +421,7 @@ def run_rates(spec: ExperimentSpec, out: str) -> list[str]:
     users, summary = _allocation_rows(
         head, cfg, "fixed", [(p, q, secrecy_report(cfg, p, q))], circuit
     )
-    return [
-        _write_csv(out, USER_HEADER, users),
-        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, [summary]),
-    ]
+    return _write_tables(out, [(None, USER_HEADER, users), ("summary", SUMMARY_HEADER, [summary])])
 
 
 def run_validate(spec: ExperimentSpec, out: str) -> list[str]:
@@ -486,11 +503,14 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
         )
         for i, value in enumerate(values)
     ]
-    return [
-        _write_csv(out, USER_HEADER, users),
-        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, [summary]),
-        _write_csv(_companion(out, "trace"), TRACE_HEADER, trace_rows),
-    ]
+    return _write_tables(
+        out,
+        [
+            (None, USER_HEADER, users),
+            ("summary", SUMMARY_HEADER, [summary]),
+            ("trace", TRACE_HEADER, trace_rows),
+        ],
+    )
 
 
 def _sweep_point(spec: ExperimentSpec, value: float) -> list[tuple[list[list], list]]:
@@ -539,7 +559,5 @@ def run_sweep(spec: ExperimentSpec, out: str) -> list[str]:
         raise ValueError("the spec has no sweep section")
     allocations = [a for value in spec.sweep_values for a in _sweep_point(spec, value)]
     users = [row for rows, _ in allocations for row in rows]
-    return [
-        _write_csv(out, USER_HEADER, users),
-        _write_csv(_companion(out, "summary"), SUMMARY_HEADER, [s for _, s in allocations]),
-    ]
+    summaries = [s for _, s in allocations]
+    return _write_tables(out, [(None, USER_HEADER, users), ("summary", SUMMARY_HEADER, summaries)])

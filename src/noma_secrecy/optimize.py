@@ -27,13 +27,21 @@ small matrix product; it is the only curvature of a DC surrogate (the
 linearized half and the power penalty are linear), so every DC step hands
 it to the kernel, which then takes projected Newton steps.
 
-A stage holds one side's powers fixed, so its forms and its feasible set
+A stage holds one side's powers fixed, so its forms, its feasible set
 (the per-user box on the uplink, the capped nonnegative set on the
-downlink) are built once per stage, by `_uplink_stage` and
-`_downlink_stage`, and every DC step of the stage reuses them. One stage
-loop, `_dc_stage`, serves the SE solver, each Dinkelbach round of the EE
-solver and both baselines; the public one-step functions
-`uplink_dc_step` and `downlink_dc_step` run one step on the same stage.
+downlink) and its objective are built once per stage, by `_uplink_stage`
+and `_downlink_stage`, and every DC step of the stage reuses them. The
+prebuilt objective computes the fixed side's part once: the downlink
+stage keeps the estimation quality it was built from, the uplink stage
+the downlink powers' per-user views, the eavesdropping rates and the
+downlink total. It repeats `smooth_secrecy_sum` and `_stage_objective`
+operation for operation, so it returns the same bytes; a property test
+checks that. One stage loop, `_dc_stage`, serves the SE solver, each
+Dinkelbach round of the EE solver and both baselines; the public
+one-step functions `uplink_dc_step` and `downlink_dc_step` run one step
+on the same stage. Each DC step's surrogate keeps the log arguments
+A x + b of the point it evaluated last, and its Hessian oracle reuses
+them when the kernel asks for the Hessian at that point.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,7 +64,15 @@ from .model import (
     compute_rho,
 )
 from .projgrad import Box, CappedSimplex, ConcaveProblem, maximize
-from .rates import RateReport, _check_circuit_power, _flat_rates, energy_efficiency, secrecy_report
+from .rates import (
+    RateReport,
+    _check_circuit_power,
+    _eaves_rates,
+    _flat_rates,
+    _legit_rates,
+    energy_efficiency,
+    secrecy_report,
+)
 
 __all__ = [
     "SolveOptions",
@@ -119,23 +136,28 @@ class LogAffine:
     w: np.ndarray
 
     def _arguments(self, x: np.ndarray) -> np.ndarray:
+        """The log arguments A x + b."""
         args = self.A @ x + self.b
-        if np.any(args <= 0.0):
+        if (args <= 0.0).any():
             # Cannot happen for nonnegative powers (every argument is an
             # interference-plus-noise power, in the uplink times the pilot
             # normalizer, so positive); guard against stray inputs.
             raise FloatingPointError("non-positive log argument")
         return args
 
+    def _evaluate_at(self, args: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(self.w @ np.log2(args)), self.A.T @ (self.w / args) / _LN2
+
+    def _hessian_at(self, args: np.ndarray) -> np.ndarray:
+        return -((self.A.T * (self.w / (args * args))) @ self.A) / _LN2
+
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and exact gradient (1/ln 2 included) at x."""
-        args = self._arguments(x)
-        return float(self.w @ np.log2(args)), self.A.T @ (self.w / args) / _LN2
+        return self._evaluate_at(self._arguments(x))
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Exact Hessian -A^T diag(w / (A x + b)^2) A / ln 2 at x."""
-        args = self._arguments(x)
-        return -((self.A.T * (self.w / (args * args))) @ self.A) / _LN2
+        return self._hessian_at(self._arguments(x))
 
 
 def _objective(cfg: SystemConfig, forms, x: np.ndarray, penalty: float):
@@ -260,45 +282,111 @@ class SolverTrace:
     converged: bool = False
 
 
-def _uplink_stage(cfg: SystemConfig, q: DownlinkPower, p_max):
-    """The uplink stage at fixed downlink powers: its forms (f1, f2) and
-    the per-user box [0, p_max]."""
-    forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
-    return forms, Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
+class _Stage(NamedTuple):
+    """One side's DC subproblem at fixed powers of the other side: its
+    forms (concave, subtracted), feasible set and objective of the side's
+    powers, and the power price lam of that objective and of every DC
+    surrogate."""
+
+    side: str
+    forms: tuple[LogAffine, LogAffine]
+    feasible_set: object
+    objective: Callable[[object], float]
+    lam: float
 
 
-def _downlink_stage(cfg: SystemConfig, rho: EstimationQuality, q_max: float):
-    """The downlink stage at fixed estimation quality: its forms
-    (g1 + g3, g2 + g4) and the capped nonnegative set."""
-    return _downlink_forms(cfg, _downlink_coeffs(cfg, rho)), CappedSimplex(cap=q_max)
+def _penalized(gaps: np.ndarray, lam: float, p_total: float, q_total: float, circuit_power):
+    """`_stage_objective` from the per-user rate gaps legit - eaves and the
+    power totals."""
+    value = float(gaps.sum())
+    if lam != 0.0:
+        value -= lam * (p_total + q_total + circuit_power)
+    return value
 
 
-def _dc_step(cfg: SystemConfig, stage, x_prev, penalty, options, trace) -> np.ndarray:
-    """One DC iteration of a stage (its forms and feasible set) from
-    x_prev: maximize the concave surrogate
+def _uplink_stage(
+    cfg: SystemConfig, q: DownlinkPower, p_max, lam: float = 0.0, circuit_power: float = 0.0
+) -> _Stage:
+    """The uplink stage at fixed downlink powers: its forms (f1, f2), the
+    per-user box [0, p_max] and the stage objective of p, with q's views,
+    eavesdropping rates and total computed once."""
+    q_flat = q.flat()
+    views = cfg.user_powers(q_flat)
+    eaves = _eaves_rates(cfg, q_flat, views[0])
+    q_total = q.total()
+
+    def objective(p: UplinkPower) -> float:
+        legit = _legit_rates(cfg, compute_rho(cfg, p).flat(), views)
+        return _penalized(legit - eaves, lam, p.total(), q_total, circuit_power)
+
+    box = Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
+    return _Stage("uplink", _uplink_forms(cfg, _uplink_coeffs(cfg, q)), box, objective, lam)
+
+
+def _downlink_stage(
+    cfg: SystemConfig,
+    rho: EstimationQuality,
+    q_max: float,
+    lam: float = 0.0,
+    circuit_power: float = 0.0,
+    p_total: float = 0.0,
+) -> _Stage:
+    """The downlink stage at fixed estimation quality (and uplink total
+    p_total, which only the power price reads): its forms (g1 + g3,
+    g2 + g4), the capped nonnegative set and the stage objective of q."""
+    rho_flat = rho.flat()
+
+    def objective(q: DownlinkPower) -> float:
+        legit, eaves = _flat_rates(cfg, rho_flat, q.flat())
+        return _penalized(legit - eaves, lam, p_total, q.total(), circuit_power)
+
+    forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
+    return _Stage("downlink", forms, CappedSimplex(cap=q_max), objective, lam)
+
+
+def _surrogate(cfg: SystemConfig, stage: _Stage, x_prev: np.ndarray) -> ConcaveProblem:
+    """The DC step's problem at x_prev: maximize the concave surrogate
     overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
-    - penalty * sum x over the feasible set, whose Hessian is the
-    concave half's times overhead. The kernel's stop reason and Newton
-    fallbacks are counted in the trace when one is given."""
-    (concave, sub), feasible_set = stage
+    - lam * sum x over the stage's feasible set, whose Hessian is the
+    concave half's times overhead. The surrogate keeps the log arguments
+    of the point it evaluated last, and the Hessian oracle reuses them
+    when it is handed that same array (`maximize` asks for the Hessian
+    there); a zero lam drops the price terms, since v - 0.0 is v."""
+    concave, sub = stage.forms
+    penalty = stage.lam
     scale = cfg.overhead
     sub_prev, sub_grad_prev = sub.evaluate(x_prev)
     lin = scale * sub_grad_prev
     const = -scale * sub_prev + float(lin @ x_prev)
+    last = (None, None)  # the point evaluated last and its log arguments
 
-    def surrogate(x):
-        value, grad = concave.evaluate(x)
-        value = scale * value - penalty * float(x.sum()) - float(lin @ x) + const
-        return value, scale * grad - penalty - lin
+    def evaluate(x):
+        nonlocal last
+        args = concave._arguments(x)
+        last = (x, args)
+        value, grad = concave._evaluate_at(args)
+        value = scale * value
+        grad = scale * grad
+        if penalty != 0.0:
+            value -= penalty * float(x.sum())
+            grad -= penalty
+        return value - float(lin @ x) + const, grad - lin
 
-    problem = ConcaveProblem(
-        dim=x_prev.size,
-        evaluate=surrogate,
-        feasible_set=feasible_set,
-        hessian=lambda x: scale * concave.hessian(x),
+    def hessian(x):
+        args = last[1] if x is last[0] else concave._arguments(x)
+        return scale * concave._hessian_at(args)
+
+    return ConcaveProblem(
+        dim=x_prev.size, evaluate=evaluate, feasible_set=stage.feasible_set, hessian=hessian
     )
+
+
+def _dc_step(cfg: SystemConfig, stage: _Stage, x_prev, options, trace) -> np.ndarray:
+    """One DC iteration of a stage from x_prev: the kernel's maximizer of
+    the `_surrogate` at x_prev. The kernel's stop reason and Newton
+    fallbacks are counted in the trace when one is given."""
     result = maximize(
-        problem,
+        _surrogate(cfg, stage, x_prev),
         x_prev,
         tol=options.kernel_tol,
         max_iter=options.kernel_max_iter,
@@ -322,8 +410,8 @@ def uplink_dc_step(
     surrogate f1(P) - <grad f2(P_prev), P> (- penalty * sum P) over the
     per-user box. The kernel's stop reason is counted in `trace`, if
     given."""
-    stage = _uplink_stage(cfg, q, p_max)
-    point = _dc_step(cfg, stage, p_prev.flat(), penalty, options or SolveOptions(), trace)
+    stage = _uplink_stage(cfg, q, p_max, penalty)
+    point = _dc_step(cfg, stage, p_prev.flat(), options or SolveOptions(), trace)
     return UplinkPower.from_flat(cfg, point)
 
 
@@ -340,8 +428,8 @@ def downlink_dc_step(
     surrogate g1(Q) + g3(Q) - <grad (g2+g4)(Q_prev), Q> (- penalty *
     sum Q) over the capped nonnegative set. The kernel's stop reason is
     counted in `trace`, if given."""
-    stage = _downlink_stage(cfg, rho, q_max)
-    point = _dc_step(cfg, stage, q_prev.flat(), penalty, options or SolveOptions(), trace)
+    stage = _downlink_stage(cfg, rho, q_max, penalty)
+    point = _dc_step(cfg, stage, q_prev.flat(), options or SolveOptions(), trace)
     return DownlinkPower.from_flat(cfg, point)
 
 
@@ -379,29 +467,35 @@ def _report_kernel(solver: str, trace: SolverTrace) -> None:
 
 
 def _dc_stage(
-    cfg: SystemConfig, stage, objective, x, start: float, penalty: float,
-    options: SolveOptions, trace: SolverTrace,
+    cfg: SystemConfig, stage: _Stage, x, start: float, options: SolveOptions, trace: SolverTrace
 ):
-    """Repeat the DC step of `stage` (its forms and feasible set, built
-    once) from the powers x, whose stage objective is `start`, until the
-    objective gains less than inner_tol (converged) or max_inner steps
-    have run. Records the objective sequence in trace and counts a stage
-    that stops at max_inner in trace.stage_caps; returns the last iterate,
-    its objective and whether the loop converged."""
+    """Repeat the DC step of `stage` (built once) from the powers x, whose
+    stage objective is `start`, until the objective gains less than
+    inner_tol (converged) or max_inner steps have run. Records the
+    objective sequence in trace, counts a stage that stops at max_inner
+    in trace.stage_caps and logs one DEBUG line per stage; returns the
+    last iterate, its objective and whether the loop converged."""
+    debug = log.isEnabledFor(logging.DEBUG)
+    if debug:
+        t0, calls0 = perf_counter(), trace.kernel_stops.total()
     values = [start]
     converged = False
     for _ in range(options.max_inner):
-        x = type(x).from_flat(cfg, _dc_step(cfg, stage, x.flat(), penalty, options, trace))
-        values.append(objective(x))
+        x = type(x).from_flat(cfg, _dc_step(cfg, stage, x.flat(), options, trace))
+        values.append(stage.objective(x))
         if values[-1] - values[-2] < options.inner_tol:
             converged = True
             break
     trace.step_values.append(values)
     if not converged:
         trace.stage_caps += 1
+    if debug:
         log.debug(
-            "DC stage stopped at max_inner=%d steps: objective %.10g -> %.10g",
-            options.max_inner, values[0], values[-1],
+            "%s DC stage: %d steps, %d kernel calls, objective %.10g -> %.10g, %s, %.3g s",
+            stage.side, len(values) - 1, trace.kernel_stops.total() - calls0,
+            values[0], values[-1],
+            "converged" if converged else "stopped at max_inner=%d" % options.max_inner,
+            perf_counter() - t0,
         )
     return x, values[-1], converged
 
@@ -427,17 +521,15 @@ def _alternate(
     for _ in range(options.max_outer):
         # Uplink stage at fixed downlink powers.
         p, r_up, _ = _dc_stage(
-            cfg, _uplink_stage(cfg, q, p_max),
-            partial(_stage_objective, cfg, q=q, lam=lam, circuit_power=circuit_power),
-            p, trace.outer_values[-1], lam, options, trace,
+            cfg, _uplink_stage(cfg, q, p_max, lam, circuit_power),
+            p, trace.outer_values[-1], options, trace,
         )
         trace.outer_values.append(r_up)
 
         # Downlink stage at the resulting estimation quality.
         q, r_down, _ = _dc_stage(
-            cfg, _downlink_stage(cfg, compute_rho(cfg, p), q_max),
-            partial(_stage_objective, cfg, p, lam=lam, circuit_power=circuit_power),
-            q, r_up, lam, options, trace,
+            cfg, _downlink_stage(cfg, compute_rho(cfg, p), q_max, lam, circuit_power, p.total()),
+            q, r_up, options, trace,
         )
         trace.outer_values.append(r_down)
 
@@ -564,10 +656,8 @@ def baseline_downlink_se(
     options = options or SolveOptions()
     p, q = baseline_fixed(cfg, p_max, q_max)
     trace = SolverTrace()
-    q, _, trace.converged = _dc_stage(
-        cfg, _downlink_stage(cfg, compute_rho(cfg, p), q_max), partial(smooth_secrecy_sum, cfg, p),
-        q, smooth_secrecy_sum(cfg, p, q), 0.0, options, trace,
-    )
+    stage = _downlink_stage(cfg, compute_rho(cfg, p), q_max)
+    q, _, trace.converged = _dc_stage(cfg, stage, q, stage.objective(q), options, trace)
     trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
 
@@ -582,10 +672,8 @@ def baseline_uplink_se(
     options = options or SolveOptions()
     p, q = baseline_fixed(cfg, p_max, q_max)
     trace = SolverTrace()
-    p, _, trace.converged = _dc_stage(
-        cfg, _uplink_stage(cfg, q, p_max), partial(smooth_secrecy_sum, cfg, q=q),
-        p, smooth_secrecy_sum(cfg, p, q), 0.0, options, trace,
-    )
+    stage = _uplink_stage(cfg, q, p_max)
+    p, _, trace.converged = _dc_stage(cfg, stage, p, stage.objective(p), options, trace)
     trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
 

@@ -41,6 +41,7 @@ step. Non-finite values at an accepted point are an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -109,7 +110,8 @@ def project(feasible_set, x) -> np.ndarray:
     """Euclidean projection of x onto the feasible set (idempotent)."""
     x = np.asarray(x, dtype=float)
     if isinstance(feasible_set, Box):
-        return np.clip(x, feasible_set.lower, feasible_set.upper)
+        # np.clip's definition, without its wrapper's dispatch.
+        return np.minimum(np.maximum(x, feasible_set.lower), feasible_set.upper)
     if isinstance(feasible_set, CappedSimplex):
         return _project_capped_simplex(x, feasible_set.cap)
     raise TypeError("unsupported feasible set: %r" % (feasible_set,))
@@ -172,7 +174,11 @@ def maximize(
     times, and accepts the first point with a positive ascent estimate
     g.(x(alpha) - x) that passes the Armijo test below. When the system is
     singular, d is not finite or no trial passes, the iteration counts a
-    fallback and takes the gradient step.
+    fallback and takes the gradient step. The Hessian is always asked for
+    at the current iterate, and that is the array `problem.evaluate` was
+    given last (x0 copied, or the accepted trial point): an oracle may
+    reuse what it computed for that array when it gets the same object
+    back, as the DC surrogates reuse their log arguments.
 
     The gradient step's line search starts from the spectral
     (Barzilai-Borwein) step ||s||^2 / s.y, with s = x - x_prev and
@@ -192,11 +198,11 @@ def maximize(
     x = np.asarray(x0, dtype=float).copy()
     if x.size != problem.dim:
         raise ValueError("x0 has dimension %d, expected %d" % (x.size, problem.dim))
-    if np.linalg.norm(x - project(problem.feasible_set, x)) > 1e-9:
+    if _norm(x - project(problem.feasible_set, x)) > 1e-9:
         raise ValueError("x0 is not feasible: %r" % (x,))
 
     value, grad = problem.evaluate(x)
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+    if not math.isfinite(value) or not np.isfinite(grad).all():
         raise ValueError("non-finite objective or gradient at x0 = %r" % (x,))
 
     history = [value]
@@ -208,7 +214,7 @@ def maximize(
     stop = "cap"
     for iterations in range(1, max_iter + 1):
         target = project(problem.feasible_set, x + grad)
-        stationarity = float(np.linalg.norm(x - target))
+        stationarity = _norm(x - target)
         if stationarity <= tol:
             stop = "stationary"
             iterations -= 1
@@ -259,8 +265,8 @@ def _arc_search(problem, x, value, grad, direction, alpha, floor):
         gain = float(grad @ (candidate - x))
         if gain > 0.0:
             cand_value, cand_grad = problem.evaluate(candidate)
-            if np.isfinite(cand_value) and cand_value >= value + _ARMIJO * gain:
-                if not np.all(np.isfinite(cand_grad)):
+            if math.isfinite(cand_value) and cand_value >= value + _ARMIJO * gain:
+                if not np.isfinite(cand_grad).all():
                     raise ValueError(
                         "non-finite gradient at accepted point %r" % (candidate,)
                     )
@@ -279,7 +285,7 @@ def _newton_step(problem, x, value, grad, target, eps):
         )
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(direction)):
+    if not np.isfinite(direction).all():
         return None
     return _arc_search(
         problem, x, value, grad, direction, 1.0, _SHRINK ** (_NEWTON_HALVINGS + 1)
@@ -310,7 +316,7 @@ def _newton_direction(feasible_set, x, grad, hess, target, eps):
             active = (x <= eps) & (target == 0.0)
             free = np.flatnonzero(~active)
             kkt = np.ones((free.size + 1, free.size + 1))
-            kkt[:-1, :-1] = -hess[np.ix_(free, free)]
+            kkt[:-1, :-1] = -_block(hess, free)
             kkt[-1, -1] = 0.0
             solution = np.linalg.solve(kkt, np.append(grad[free], slack + x[active].sum()))
             direction = -x
@@ -323,8 +329,22 @@ def _newton_direction(feasible_set, x, grad, hess, target, eps):
     free = np.flatnonzero(~active)
     direction = grad.copy()
     if free.size:
-        direction[free] = np.linalg.solve(-hess[np.ix_(free, free)], grad[free])
+        direction[free] = np.linalg.solve(-_block(hess, free), grad[free])
     return direction
+
+
+def _block(hess, free):
+    """The rows and columns `free` of hess; hess itself when every
+    variable is free."""
+    if free.size == hess.shape[0]:
+        return hess
+    return hess[free[:, None], free]
+
+
+def _norm(r) -> float:
+    """Euclidean norm of a real vector: what np.linalg.norm computes for
+    one, sqrt(r . r), without its wrapper."""
+    return math.sqrt(float(r @ r))
 
 
 def finite_difference_gradient(

@@ -101,6 +101,25 @@ class RateReport:
     sum_secrecy: float
 
 
+def _legit_terms(cfg: SystemConfig, rho_flat: np.ndarray, views, exact_gain: bool = False):
+    """Every user's (kappa, I1, I2, I3) of the module docstring, noise
+    excluded, from flat estimation qualities and the `user_powers` views
+    of a flat downlink vector."""
+    nt = cfg.n_antennas
+    beta = cfg.flat_betas
+    own, an, stronger, others = views
+    beam = rho_flat * nt + 1.0 - rho_flat  # own-beam power, E|h^H w|^2
+
+    kappa = own * beta * rho_flat * array_gain(nt, exact_gain)
+    if exact_gain:
+        im1 = own * beta * beam - kappa
+    else:
+        im1 = own * beta * (1.0 - rho_flat)
+    im2 = beta * (stronger * beam + an * (1.0 - rho_flat))
+    im3 = beta * others
+    return kappa, im1, im2, im3
+
+
 def _user_terms(
     cfg: SystemConfig, rho_flat: np.ndarray, q_flat: np.ndarray, exact_gain: bool = False
 ):
@@ -111,30 +130,31 @@ def _user_terms(
 
     The eavesdropper terms do not depend on rho.
     """
-    nt = cfg.n_antennas
-    beta = cfg.flat_betas
-    own, an, stronger, others = cfg.user_powers(q_flat)
-    beam = rho_flat * nt + 1.0 - rho_flat  # own-beam power, E|h^H w|^2
+    views = cfg.user_powers(q_flat)
+    own = views[0]
+    return (*_legit_terms(cfg, rho_flat, views, exact_gain), own, q_flat.sum() - own)
 
-    kappa = own * beta * rho_flat * array_gain(nt, exact_gain)
-    if exact_gain:
-        im1 = own * beta * beam - kappa
-    else:
-        im1 = own * beta * (1.0 - rho_flat)
-    im2 = beta * (stronger * beam + an * (1.0 - rho_flat))
-    im3 = beta * others
-    return kappa, im1, im2, im3, own, q_flat.sum() - own
+
+def _legit_rates(cfg: SystemConfig, rho_flat: np.ndarray, views, exact_gain: bool = False):
+    """Legitimate rate of every user, flat, from flat estimation
+    qualities and the `user_powers` views of a flat downlink vector."""
+    kappa, im1, im2, im3 = _legit_terms(cfg, rho_flat, views, exact_gain)
+    return cfg.overhead * np.log2(1.0 + kappa / (im1 + im2 + im3 + 1.0))
+
+
+def _eaves_rates(cfg: SystemConfig, q_flat: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Eavesdropping rate against every user, flat, from a flat downlink
+    vector and its users' own powers."""
+    beta_e = cfg.eav_gain
+    return cfg.overhead * np.log2(1.0 + beta_e * own / (beta_e * (q_flat.sum() - own) + 1.0))
 
 
 def _flat_rates(
     cfg: SystemConfig, rho_flat: np.ndarray, q_flat: np.ndarray, exact_gain: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Legitimate and eavesdropping rates of every user, flat."""
-    kappa, im1, im2, im3, e_sig, e_int = _user_terms(cfg, rho_flat, q_flat, exact_gain)
-    beta_e = cfg.eav_gain
-    legit = cfg.overhead * np.log2(1.0 + kappa / (im1 + im2 + im3 + 1.0))
-    eaves = cfg.overhead * np.log2(1.0 + beta_e * e_sig / (beta_e * e_int + 1.0))
-    return legit, eaves
+    views = cfg.user_powers(q_flat)
+    return _legit_rates(cfg, rho_flat, views, exact_gain), _eaves_rates(cfg, q_flat, views[0])
 
 
 def _user_index(cfg: SystemConfig, m: int, k: int) -> int:

@@ -1,12 +1,17 @@
 """Write the golden specs and CLI outputs in this directory.
 
-    PYTHONPATH=src python tests/golden/make_goldens.py
+    PYTHONPATH=src python tests/golden/make_goldens.py           # regenerate
+    PYTHONPATH=src python tests/golden/make_goldens.py --check   # report only
 
 Each spec in SPECS is written as <name>.json, and each entry of COMMANDS
 runs the CLI on one spec into <output>.csv (plus its companion files).
 tests/test_golden.py reruns COMMANDS and compares against these files, so
 a regenerated golden is a reviewed change: list every moved field and its
-largest deviation when committing one.
+largest deviation when committing one. `--check` writes everything into a
+temporary directory instead, touches no file here, and prints for each
+golden either "identical" or each moved column with its largest relative
+deviation (absolute where the golden cell is 0); that is the list. It
+exits 0 whatever moved: tests/test_golden.py is the gate.
 
 The specs are tiny on purpose, so the comparison stays cheap. Two are
 ragged, one of them with beta_E = 0; `wide` puts the Monte Carlo checks
@@ -19,9 +24,13 @@ two one-user clusters and then one two-user cluster, each with `oma` rows.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import os
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -133,10 +142,77 @@ def run(directory: str, out_directory: str) -> None:
             raise SystemExit("%s failed with exit code %d" % (stem, code))
 
 
-if __name__ == "__main__":
+def regenerate(directory: str) -> None:
+    """Write every spec and every output into `directory`."""
     for name, spec in SPECS.items():
-        with open(spec_path(HERE, name), "w", encoding="utf-8") as fh:
+        with open(spec_path(directory, name), "w", encoding="utf-8") as fh:
             json.dump(spec, fh, indent=2)
             fh.write("\n")
-    sys.stdout = open(os.devnull, "w")  # main prints every path it writes
-    run(HERE, HERE)
+    with contextlib.redirect_stdout(io.StringIO()):  # main prints every path it writes
+        run(directory, directory)
+
+
+def _rows(path: str) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _moved_columns(new: str, old: str) -> str:
+    """Each column whose cells differ between two CSV files, with the
+    largest relative deviation of its numeric cells, or "text" when a
+    non-numeric cell changed, and the number of changed cells."""
+    new_rows, old_rows = _rows(new), _rows(old)
+    if new_rows[:1] != old_rows[:1] or len(new_rows) != len(old_rows):
+        return "header or row count differs (%d rows, golden %d)" % (len(new_rows), len(old_rows))
+    moved: dict[str, list] = {}  # column -> [largest deviation or "text", changed cells]
+    for n, o in zip(new_rows[1:], old_rows[1:]):
+        for column, a, b in zip(old_rows[0], n, o):
+            if a != b:
+                entry = moved.setdefault(column, [0.0, 0])
+                entry[1] += 1
+                try:
+                    x, y = float(a), float(b)
+                    entry[0] = max(entry[0], abs(x - y) / abs(y) if y else abs(x - y))
+                except (TypeError, ValueError):  # a text cell, or a column already "text"
+                    entry[0] = "text"
+    return ", ".join(
+        "%s %s (%d cells)" % (column, dev if dev == "text" else "%.3g" % dev, cells)
+        for column, (dev, cells) in moved.items()
+    )
+
+
+def check() -> None:
+    """Regenerate into a temporary directory and print what moved."""
+    specs = sorted(name + ".json" for name in SPECS)
+    outputs = sorted(f for f in os.listdir(HERE) if f.endswith(".csv"))
+    identical = {"outputs": 0, "specs": 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        regenerate(tmp)
+        for kind, files in (("specs", specs), ("outputs", outputs)):
+            for name in files:
+                new, old = os.path.join(tmp, name), os.path.join(HERE, name)
+                if not os.path.exists(new):
+                    report = "no longer written"
+                else:
+                    with open(new, "rb") as fa, open(old, "rb") as fb:
+                        same = fa.read() == fb.read()
+                    identical[kind] += same
+                    report = "identical" if same else "differs"
+                    if not same and kind == "outputs":
+                        report = _moved_columns(new, old)
+                print("%s: %s" % (name, report))
+        for name in sorted(set(os.listdir(tmp)) - set(specs) - set(outputs)):
+            print("%s: new, not committed" % name)
+    print(
+        "%d of %d outputs and %d of %d specs identical"
+        % (identical["outputs"], len(outputs), identical["specs"], len(specs))
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        check()
+    elif sys.argv[1:]:
+        raise SystemExit("usage: make_goldens.py [--check]")
+    else:
+        regenerate(HERE)

@@ -483,6 +483,44 @@ class TestRejectsBadSpecs:
         assert all(type(v) is int for v in (spec.n_antennas, *spec.sweep_values, spec.seed))
 
 
+class TestRefusesNonFiniteResults:
+    """Specs that load but whose rates overflow: the command exits 1 with
+    one `error:` line naming a column and writes no file. The overflow
+    raises numpy RuntimeWarnings, which this suite turns into errors, so
+    the CLI runs in a child process."""
+
+    GOLDEN_RAGGED = os.path.join(os.path.dirname(__file__), "golden", "ragged.json")
+    PROBES = {
+        "huge-eav-gain": ("eav_gain", 1e308),
+        "huge-gains": ("clusters", [[1e308, 1e307]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_rates_exit_1_and_write_nothing(self, tmp_path, name):
+        with open(self.GOLDEN_RAGGED, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        key, value = self.PROBES[name]
+        spec["system"][key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        package_root = os.path.dirname(os.path.dirname(noma_secrecy.__file__))
+        path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "noma_secrecy.cli", "rates", "--spec", str(spec_path),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert proc.returncode == 1, proc.stdout
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "non-finite" in errors[0], proc.stderr
+        assert any(" %s " % column in errors[0] for column in ("legit", "eaves", "secrecy"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 @pytest.mark.parametrize(
     "name",
     ["noma_secrecy"]

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -585,6 +586,57 @@ class TestStageCaps:
         for solve in (baseline_downlink_se, baseline_uplink_se):
             _, _, _, trace = solve(cfg, 1.0, 10.0, self.OPTIONS)
             assert trace.stage_caps == self.gaining(trace) == (not trace.converged)
+
+
+class TestStageLog:
+    """One DEBUG line per DC stage: side, DC steps, kernel calls, the
+    objective from start to end, how the stage stopped, wall time."""
+
+    PATTERN = re.compile(
+        r"(uplink|downlink) DC stage: (\d+) steps, (\d+) kernel calls, "
+        r"objective (\S+) -> (\S+), (converged|stopped at max_inner=\d+), \S+ s"
+    )
+
+    def stage_lines(self, caplog):
+        return [
+            self.PATTERN.fullmatch(r.getMessage())
+            for r in caplog.records
+            if r.levelno == logging.DEBUG and " DC stage: " in r.getMessage()
+        ]
+
+    @pytest.mark.parametrize("max_inner", [1, 50])
+    def test_se_logs_each_stage(self, caplog, max_inner):
+        cfg = scenario(40, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_se(cfg, 1.0, 10.0, SolveOptions(max_inner=max_inner))
+        lines = self.stage_lines(caplog)
+        assert len(lines) == len(trace.step_values) and all(lines)
+        for i, (line, values) in enumerate(zip(lines, trace.step_values)):
+            side, steps, calls, start, end, stop = line.groups()
+            assert side == ("uplink", "downlink")[i % 2]
+            assert int(steps) == int(calls) == len(values) - 1
+            assert (float(start), float(end)) == pytest.approx((values[0], values[-1]), rel=1e-9)
+        capped = [m for m in lines if m.group(6) != "converged"]
+        assert len(capped) == trace.stage_caps
+        assert all(m.group(6) == "stopped at max_inner=%d" % max_inner for m in capped)
+
+    def test_baselines_log_their_stage(self, caplog):
+        cfg = scenario(42, m=2, k=2, nt=32)
+        for solve, side in ((baseline_downlink_se, "downlink"), (baseline_uplink_se, "uplink")):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+                solve(cfg, 1.0, 10.0)
+            assert [m.group(1) for m in self.stage_lines(caplog)] == [side]
+
+    def test_nothing_is_timed_or_formatted_without_debug(self, caplog, monkeypatch):
+        def forbidden():
+            raise AssertionError("timed a stage with DEBUG off")
+
+        monkeypatch.setattr(optimize_module, "perf_counter", forbidden)
+        cfg = scenario(40, m=2, k=2, nt=32)
+        with caplog.at_level(logging.INFO, logger="noma_secrecy"):
+            maximize_se(cfg, 1.0, 10.0)
+        assert not self.stage_lines(caplog)
 
 
 class TestOmaTdma:

@@ -38,8 +38,12 @@ from noma_secrecy.optimize import (
     SolveOptions,
     _downlink_coeffs,
     _downlink_forms,
+    _downlink_stage,
+    _stage_objective,
+    _surrogate,
     _uplink_coeffs,
     _uplink_forms,
+    _uplink_stage,
     baseline_fixed,
     downlink_dc_step,
     maximize_ee,
@@ -213,6 +217,48 @@ def test_single_user_clusters_reduce_to_oma(instance):
         np.testing.assert_allclose(b.eaves[m], a.eaves[m], rtol=1e-12)
         np.testing.assert_allclose(b.secrecy[m], a.secrecy[m], rtol=1e-12)
     assert math.isclose(b.sum_secrecy, a.sum_secrecy, rel_tol=1e-12, abs_tol=1e-15)
+
+
+lams = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+
+
+@PROPERTY
+@given(instances(), lams, st.floats(0.01, 5.0))
+def test_prebuilt_stage_objectives_equal_the_stage_objective(instance, lam, circuit):
+    # Exactly equal: the prebuilt objectives repeat `_stage_objective`'s
+    # arithmetic operation for operation, and the solvers' bytes rely on it.
+    cfg, p, q, _ = instance
+    expected = _stage_objective(cfg, p, q, lam, circuit)
+    uplink = _uplink_stage(cfg, q, 1.0, lam, circuit)
+    downlink = _downlink_stage(cfg, compute_rho(cfg, p), 10.0, lam, circuit, p.total())
+    assert uplink.objective(p) == expected
+    assert downlink.objective(q) == expected
+
+
+@PROPERTY
+@given(instances(), st.sampled_from([0.0, 0.3]), st.booleans())
+def test_surrogate_reuses_its_log_arguments_exactly(instance, lam, downlink):
+    cfg, p, q, rng = instance
+    if downlink:
+        stage, x_prev = _downlink_stage(cfg, compute_rho(cfg, p), 100.0, lam), q.flat()
+    else:
+        stage, x_prev = _uplink_stage(cfg, q, 1.0, lam), p.flat()
+    problem = _surrogate(cfg, stage, x_prev)
+    concave, sub = stage.forms
+    x = x_prev * rng.uniform(0.5, 1.0, x_prev.size)
+    expected = cfg.overhead * concave.hessian(x)
+    problem.evaluate(x_prev)
+    assert np.array_equal(problem.hessian(x), expected)  # another array: recomputed
+    value, grad = problem.evaluate(x)
+    assert np.array_equal(problem.hessian(x), expected)  # the array evaluated last: reused
+    # The surrogate written out with its price terms, which a zero lam drops.
+    scale = cfg.overhead
+    sub_prev, sub_grad = sub.evaluate(x_prev)
+    lin = scale * sub_grad
+    cval, cgrad = concave.evaluate(x)
+    const = -scale * sub_prev + float(lin @ x_prev)
+    assert value == scale * cval - lam * float(x.sum()) - float(lin @ x) + const
+    assert np.array_equal(grad, scale * cgrad - lam - lin)
 
 
 @PROPERTY
@@ -533,6 +579,20 @@ def test_box_projection_is_idempotent(x, data):
     once = project(box, x)
     assert np.all((box.lower <= once) & (once <= box.upper))
     assert np.array_equal(project(box, once), once)
+
+
+@PROPERTY
+@given(coordinates, st.data())
+def test_box_projection_equals_clip(x, data):
+    def bounds(finite, infinite):
+        return st.lists(st.one_of(finite, st.just(infinite)), min_size=len(x), max_size=len(x))
+
+    box = Box(
+        lower=data.draw(bounds(st.floats(-5.0, 0.0), -math.inf)),
+        upper=data.draw(bounds(st.floats(0.0, 5.0), math.inf)),
+    )
+    expected = np.clip(np.asarray(x, dtype=float), box.lower, box.upper)
+    assert np.array_equal(project(box, x), expected)
 
 
 @PROPERTY
