@@ -45,8 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="accepted for compatibility (>= 1); sweep points run in order "
-            "and the value does not change the output",
+            help="accepted for compatibility (>= 1); sweep points run in order, "
+            "validate runs its Monte Carlo trials on every available CPU whatever "
+            "the value, and the value does not change the output",
         )
         if name == "optimize":
             cmd.add_argument(

@@ -313,9 +313,30 @@ def build_config(spec: ExperimentSpec) -> SystemConfig:
 
 def _point(spec: ExperimentSpec) -> tuple[SystemConfig, float, float, float | None]:
     """A spec's configuration, linear power budgets (p_max, q_max) and
-    linear circuit power (None without one)."""
+    linear circuit power (None without one).
+
+    ValueError naming powers.p_max_db where the cap makes a user's
+    estimation quality E / (1 + E) not below 1 in floating point, for its
+    training energy E = p_max beta tau: that is the user's rho alone in its
+    cluster, and under any allocation that switches the other users off.
+    A user whose rho rounds to 1 at 1 W already has an out-of-range gain,
+    which the later checks report."""
+    cfg = build_config(spec)
+    p_max = db_to_linear(spec.p_max_db)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = p_max * cfg.flat_betas * cfg.pilot_len  # as compute_rho forms it
+        unit = cfg.flat_betas * cfg.pilot_len
+        saturated = ~(energy / (1.0 + energy) < 1.0) & (unit / (1.0 + unit) < 1.0)
+    if saturated.any():
+        u = int(np.argmax(saturated))
+        m = int(cfg.cluster_of[u])
+        raise ValueError(
+            "powers.p_max_db = %r is too large: cluster %d user %d has training energy %.3g, "
+            "and its estimation quality rho rounds to 1"
+            % (spec.p_max_db, m, u - int(cfg.user_offsets[m]), energy[u])
+        )
     circuit = None if spec.circuit_power_db is None else db_to_linear(spec.circuit_power_db)
-    return build_config(spec), db_to_linear(spec.p_max_db), db_to_linear(spec.q_max_db), circuit
+    return cfg, p_max, db_to_linear(spec.q_max_db), circuit
 
 
 def _fmt(value) -> str:

@@ -17,11 +17,16 @@ projection adds along the contiguous last axis, as one trial alone would.
 An AN draw that projects to (nearly) zero is drawn again from its own
 trial's generator, after that trial's three calls.
 
+The chunks run on the CPUs this process may run on: the trials are split
+into contiguous ranges of whole chunks, one per CPU but none shorter than
+_MIN_TRIALS_PER_WORKER trials, and each range after the first runs in a
+forked child, which sends its rows back down a pipe.
+
 Determinism contract: a given (seed, n_trials) pair gives the same table
-bytes whatever the chunk size and however trials are scheduled, since
-every random number comes from its trial's own substream and every
-per-trial value is computed in the same order; every oracle called with
-the same pair sees the same trials.
+bytes whatever the chunk size, the number of worker processes and however
+trials are scheduled, since every random number comes from its trial's
+own substream and every per-trial value is computed in the same order;
+every oracle called with the same pair sees the same trials.
 
 Distributions: small-scale fading vectors h_{m,k} and the eavesdropper
 vector g have i.i.d. unit-variance complex-normal entries. Pilot noise
@@ -32,10 +37,16 @@ orthonormal.
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import pickle
+import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
+from time import perf_counter
 
 import numpy as np
 
@@ -58,6 +69,13 @@ __all__ = [
 # with it, and validate's peak memory with them.
 _CHUNK_TRIALS = 16
 
+# Fewest trials per worker process. A fork and its copy-on-write faults
+# cost a few ms, where 256 trials of a 12-user layout at N_t = 64 take
+# about 25 ms (2-core x86 VM).
+_MIN_TRIALS_PER_WORKER = 256
+
+log = logging.getLogger("noma_secrecy")
+
 
 def _cn(raw: np.ndarray, counts) -> np.ndarray:
     """Unit-variance circularly-symmetric complex normal rows from the
@@ -75,10 +93,10 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _trial_streams(seed: int, n_trials: int) -> Iterator[np.random.Generator]:
-    """The generators of SeedSequence(seed).spawn(n_trials), made one at a
-    time: a list of 2000 of them holds about 6 MB."""
-    for i in range(n_trials):
+def _trial_streams(seed: int, stop: int, start: int = 0) -> Iterator[np.random.Generator]:
+    """The generators of trials start..stop-1 of SeedSequence(seed).spawn,
+    made one at a time: a list of 2000 of them holds about 6 MB."""
+    for i in range(start, stop):
         yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
@@ -143,27 +161,144 @@ def _an_directions(h_hat: np.ndarray, v: np.ndarray, rngs) -> np.ndarray:
     return z
 
 
+def _worker_count(n_trials: int) -> int:
+    """Processes to run n_trials in: one per CPU this process may run on,
+    with at least _MIN_TRIALS_PER_WORKER trials each. 1 where the platform
+    has no sched_getaffinity, or while another Python thread is alive:
+    forking beside a running thread can deadlock the child."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_trials // _MIN_TRIALS_PER_WORKER))
+
+
+def _fork(work, *args) -> tuple[int, int]:
+    """Run work(*args) in a forked child, which then leaves with os._exit.
+    work returns the arrays to send back. The child writes a 0 byte and
+    their bytes down a pipe, or a 1 byte and its pickled exception.
+    Returns the child's pid and the read end of the pipe."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork() in a process with more than one
+            # OS thread. Forking runs only while no other Python thread is
+            # alive (_worker_count), so the other threads are OpenBLAS's idle
+            # pool, which has its own at-fork handlers; the child runs numpy
+            # code and os._exit only.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                try:
+                    arrays = work(*args)
+                except BaseException as exc:
+                    pipe.write(b"\1" + pickle.dumps(exc))
+                else:
+                    pipe.write(b"\0")
+                    for a in arrays:
+                        pipe.write(a)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _join(pid: int, read: int, arrays) -> bytes:
+    """Read a forked child's pipe, filling arrays with what it sent, and
+    reap the child. Returns b"" if it sent its arrays, else the pickled
+    exception it raised, or one saying that it stopped early."""
+    payload = None
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            flag = pipe.read(1)
+            if flag == b"\1":
+                payload = pipe.read()
+            elif flag == b"\0" and all(pipe.readinto(a) == a.nbytes for a in arrays):
+                payload = b""
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if payload is None:
+        message = "a Monte Carlo worker stopped early (exit status %d)" % code
+        payload = pickle.dumps(RuntimeError(message))
+    return payload
+
+
 def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) -> list:
     """The one trial loop. Trials run in chunks of at most _CHUNK_TRIALS,
     each on its own substream; run(rngs, *rows) gets the chunk's
     generators and the complex rows of the first n_draws of each trial's
     draws (see :func:`_layouts`), trial index first, and returns tables
-    with the trial index first, which are stacked across chunks."""
+    with the trial index first, which are stacked across chunks.
+
+    The chunks are split into contiguous ranges, one per worker process
+    (:func:`_worker_count`). This process runs the first chunk, which
+    gives the table shapes, and allocates the tables; it then forks one
+    child per later range and runs the rest of the first range. Each
+    child sends its rows down a pipe, which are read straight into the
+    tables. Every child is reaped before this returns or raises, and the
+    first failing range's exception is raised here, as one process would
+    raise it."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    debug = log.isEnabledFor(logging.DEBUG)
+    if debug:
+        t0 = perf_counter()
     layouts = _layouts(cfg)[:n_draws]
-    streams = _trial_streams(seed, n_trials)
-    for start in range(0, n_trials, _CHUNK_TRIALS):
-        rngs = list(islice(streams, _CHUNK_TRIALS))
-        raws = [np.empty((len(rngs), 2 * sum(c), cfg.n_antennas)) for c in layouts]
-        for t, rng in enumerate(rngs):
-            for raw in raws:
-                rng.standard_normal(out=raw[t])
-        rows = run(rngs, *(_cn(raw, c) for raw, c in zip(raws, layouts)))
-        if start == 0:
-            tables = [np.empty((n_trials,) + r.shape[1:], r.dtype) for r in rows]
-        for table, r in zip(tables, rows):
-            table[start : start + len(rngs)] = r
+    n_chunks = -(-n_trials // _CHUNK_TRIALS)
+    workers = min(_worker_count(n_trials), n_chunks)
+    bounds = [_CHUNK_TRIALS * (n_chunks * i // workers) for i in range(workers)] + [n_trials]
+
+    def chunks(start, stop):
+        streams = _trial_streams(seed, stop, start) if start else _trial_streams(seed, stop)
+        for lo in range(start, stop, _CHUNK_TRIALS):
+            rngs = list(islice(streams, _CHUNK_TRIALS))
+            raws = [np.empty((len(rngs), 2 * sum(c), cfg.n_antennas)) for c in layouts]
+            for t, rng in enumerate(rngs):
+                for raw in raws:
+                    rng.standard_normal(out=raw[t])
+            yield lo, run(rngs, *(_cn(raw, c) for raw, c in zip(raws, layouts)))
+
+    def write(pairs):
+        for lo, rows in pairs:
+            for table, r in zip(tables, rows):
+                table[lo : lo + len(r)] = r
+
+    def slices(lo, hi):
+        return [t[lo:hi] for t in tables]
+
+    def child_range(lo, hi):
+        write(chunks(lo, hi))
+        return slices(lo, hi)
+
+    own = chunks(0, bounds[1])
+    first = next(own)
+    tables = [np.empty((n_trials,) + r.shape[1:], r.dtype) for r in first[1]]
+    write([first])
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    children = []
+    try:
+        for lo, hi in ranges:
+            children.append(_fork(child_range, lo, hi))
+        write(own)
+    finally:
+        ends = [_join(pid, read, slices(*r)) for (pid, read), r in zip(children, ranges)]
+    for payload in ends:
+        if payload:
+            raise pickle.loads(payload)
+    if debug:
+        log.debug(
+            "Monte Carlo: %d trials, %d chunks, %d worker processes, %.3g s",
+            n_trials, n_chunks, workers, perf_counter() - t0,
+        )
     return tables
 
 

@@ -15,7 +15,7 @@ import pytest
 import noma_secrecy
 from noma_secrecy import montecarlo
 from noma_secrecy.cli import main
-from noma_secrecy.experiments import build_config, load_spec, run_validate
+from noma_secrecy.experiments import _point, build_config, load_spec, run_validate
 
 
 def write_spec(path, **overrides):
@@ -443,6 +443,26 @@ class TestRejectsBadSpecs:
         out = tmp_path / "out.csv"
         assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rates", "validate"])
+    @pytest.mark.parametrize(
+        "system, p_max_db", [({"clusters": [[70.0, 15.0, 4.0], [50.0]]}, 3000), ({}, 160)]
+    )
+    def test_uplink_cap_that_rounds_rho_to_one(
+        self, tmp_path, capsys, command, system, p_max_db
+    ):
+        # rho = E / (1 + E) rounds to 1 once the training energy E reaches
+        # 2**53: alone in a cluster at the cap, or in a multi-user cluster
+        # once an allocation switches the other users off.
+        spec_path = write_spec(
+            tmp_path / "spec.json", system=system, powers={"p_max_db": p_max_db}, trials=3
+        )
+        with pytest.raises(ValueError, match=r"^powers\.p_max_db = .* cluster \d user \d "):
+            _point(load_spec(str(spec_path)))
+        out = tmp_path / "out.csv"
+        assert main([command, "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "error: powers.p_max_db" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

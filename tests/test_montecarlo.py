@@ -1,4 +1,7 @@
+import logging
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -343,3 +346,101 @@ class TestSimulateTrialsBoundaries:
         monkeypatch.setattr(montecarlo, "_trial_streams", no_streams)
         with pytest.raises(ValueError, match="2 antennas"):
             simulate_trials(cfg, UplinkPower.full(cfg, 1.0), 5, seed=1)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Three workers over chunks of two trials."""
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 3)
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 2)
+
+    def test_no_child_outlives_a_simulation(self, split):
+        simulate_trials(CFG22, P22, 11, seed=5)
+        no_child_left()
+
+    def test_zero_estimate_in_a_child_range_names_its_cluster(self, split, monkeypatch):
+        # Eight trials in four chunks over three workers: the ranges are
+        # [0, 2), [2, 4) and [4, 8), so trial 5 runs in the second child.
+        n = CFG22.n_antennas
+        streams = []
+        for t in range(8):
+            rng = np.random.default_rng(20 + t)
+            real, pilot, an = (rng.standard_normal((rows, n)) for rows in (10, 4, 4))
+            if t == 5:
+                real[4:8] = pilot[2:4] = 0.0
+            streams.append(ScriptedNormals(real, pilot, an))
+        ranges = []
+
+        def scripted(seed, stop, start=0):
+            ranges.append((start, stop))
+            return iter(streams[start:stop])
+
+        monkeypatch.setattr(montecarlo, "_trial_streams", scripted)
+        with pytest.raises(ValueError, match="^cluster 1 estimate is the zero vector"):
+            simulate_trials(CFG22, P22, 8, seed=1)
+        no_child_left()
+        assert ranges == [(0, 2)]  # the children's calls happen in the children
+
+    def test_a_child_that_dies_is_reported(self, split, monkeypatch):
+        streams = montecarlo._trial_streams
+
+        def dying(seed, stop, start=0):
+            if start:  # only in the children
+                os._exit(3)
+            return streams(seed, stop)
+
+        monkeypatch.setattr(montecarlo, "_trial_streams", dying)
+        with pytest.raises(RuntimeError, match="exit status 3"):
+            simulate_trials(CFG22, P22, 8, seed=1)
+        no_child_left()
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MIN_TRIALS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def no_fork(*args):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(montecarlo, "_fork", no_fork)
+        assert montecarlo._worker_count(100) == 1
+        simulate_trials(CFG22, P22, 40, seed=1)
+
+    def test_another_thread_keeps_the_trials_in_process(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MIN_TRIALS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert montecarlo._worker_count(100) == 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert montecarlo._worker_count(100) == 1
+        finally:
+            stop.set()
+            thread.join(10)
+
+    def test_no_sched_getaffinity_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MIN_TRIALS_PER_WORKER", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert montecarlo._worker_count(100) == 1
+
+    def test_one_debug_line_per_simulation(self, split, caplog):
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            simulate_trials(CFG22, P22, 11, seed=5)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert message.startswith("Monte Carlo: 11 trials, 6 chunks, 3 worker processes, ")
+
+    def test_nothing_is_timed_or_formatted_without_debug(self, split, caplog, monkeypatch):
+        def forbidden():
+            raise AssertionError("timed without DEBUG")
+
+        monkeypatch.setattr(montecarlo, "perf_counter", forbidden)
+        with caplog.at_level(logging.INFO, logger="noma_secrecy"):
+            simulate_trials(CFG22, P22, 11, seed=5)
+        assert not caplog.records

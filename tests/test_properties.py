@@ -30,6 +30,7 @@ from noma_secrecy.montecarlo import (
     _estimate,
     _rate_samples,
     ergodic_rate_oracle,
+    error_decomposition_check,
     moment_suite,
     simulate_trials,
 )
@@ -535,6 +536,47 @@ def test_an_redraw_comes_from_its_own_trial_after_its_three_draws():
             ("own", "beam", "an", "eave_beam", "eave_an", "estimate_norm"), expected
         ):
             assert np.array_equal(getattr(tables, name), table), (name, chunk)
+
+
+def split_runs(run, n_trials):
+    """run() under every worker count 1-4 and chunk size 1, 3 and 16, the
+    split forced by as many CPUs as workers and a per-worker minimum of one
+    trial; yields (workers, chunk, result)."""
+    for workers in (1, 2, 3, 4):
+        for chunk in (1, 3, 16):
+            cpus = set(range(workers))
+            with mock.patch.object(montecarlo, "_CHUNK_TRIALS", chunk), mock.patch.object(
+                montecarlo, "_MIN_TRIALS_PER_WORKER", 1
+            ), mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+                assert montecarlo._worker_count(n_trials) == min(workers, n_trials)
+                yield workers, chunk, run()
+
+
+@MONTE_CARLO
+@given(instances(sizes=big_ragged_sizes), st.integers(1, 40), st.integers(0, 2**16))
+def test_trial_tables_equal_for_any_worker_count(instance, n_trials, seed):
+    cfg, p, _, _ = instance
+    expected = simulate_trials(cfg, p, n_trials, seed)
+    for workers, chunk, tables in split_runs(
+        lambda: simulate_trials(cfg, p, n_trials, seed), n_trials
+    ):
+        for field in dataclasses.fields(tables):
+            got, want = getattr(tables, field.name), getattr(expected, field.name)
+            assert np.array_equal(got, want), (field.name, workers, chunk)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@MONTE_CARLO
+@given(instances(sizes=big_ragged_sizes), st.integers(1, 40), st.integers(0, 2**16))
+def test_error_decomposition_equal_for_any_worker_count(instance, n_trials, seed):
+    cfg, p, _, _ = instance
+    # repr is exact for floats and equal for nan, unlike ==.
+    expected = repr(error_decomposition_check(cfg, p, n_trials, seed))
+    for workers, chunk, stats in split_runs(
+        lambda: error_decomposition_check(cfg, p, n_trials, seed), n_trials
+    ):
+        assert repr(stats) == expected, (workers, chunk)
 
 
 @PROPERTY
