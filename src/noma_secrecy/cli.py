@@ -95,6 +95,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("error: out of memory: %s" % (str(exc) or "MemoryError"), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -140,6 +140,14 @@ class ExperimentSpec:
     seed: int
     output: str | None
 
+    def __post_init__(self):
+        # Checked here, not in load_spec, so that a --seed override is too.
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
+        # Monte Carlo trial i's generator takes i as one 32-bit spawn word.
+        if not 1 <= self.trials < 2**32:
+            raise ValueError("trials must be >= 1 and < 2**32, got %d" % self.trials)
+
 
 def _finite(name: str, value) -> float:
     try:
@@ -231,10 +239,6 @@ def load_spec(path: str) -> ExperimentSpec:
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise ValueError("sweep.values must be strictly increasing")
 
-    trials = _integer("trials", raw.get("trials", 1000))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
     spec = ExperimentSpec(
         scenario=scenario,
         n_antennas=_integer("system.n_antennas", system.get("n_antennas", 64)),
@@ -257,7 +261,7 @@ def load_spec(path: str) -> ExperimentSpec:
         ),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        trials=trials,
+        trials=_integer("trials", raw.get("trials", 1000)),
         seed=_integer("seed", raw.get("seed", 0)),
         output=_text("output", raw["output"]) if "output" in raw else None,
     )

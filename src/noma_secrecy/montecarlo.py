@@ -7,10 +7,21 @@ Provides empirical oracles for every closed-form average in
 inner-product tables for :func:`reduce_moments` and :func:`reduce_rates`.
 
 The engine runs trials in chunks of at most ``_CHUNK_TRIALS``. Each trial
-has its own generator, ``SeedSequence(seed, spawn_key=(trial,))``, which
-makes three standard_normal calls in a fixed order: the channel
-realization, the pilot noise and the AN draw. Each call writes into one
-array for the whole chunk, trial index first. Estimation, MRT precoding,
+has its own generator: PCG64 seeded by ``SeedSequence(seed,
+spawn_key=(trial,))``. Building that SeedSequence object per trial costs
+more than the trial's draws, so :func:`_seed_words` runs SeedSequence's
+hash mixing itself: over the seed's 32-bit words once, and over the
+trial indices of up to ``_WORDS_PER_PASS`` trials in one vectorized
+uint32 pass. It gives the four uint64 words that SeedSequence would hand
+PCG64, and PCG64 seeds itself from them as numpy does, so each generator
+is the one ``default_rng(SeedSequence(seed, spawn_key=(trial,)))``
+gives. A trial index is one 32-bit spawn word, so one seed runs at most
+2**32 trials.
+
+Each generator makes three standard_normal calls in a fixed order: the
+channel realization, the pilot noise and the AN draw. Each call writes
+into one buffer for the whole chunk, trial index first, and a worker's
+chunks reuse the same three buffers. Estimation, MRT precoding,
 AN projection and the inner products then run once over the chunk, with
 users in the flat layout and one row per cluster; every norm and
 projection adds along the contiguous last axis, as one trial alone would.
@@ -37,8 +48,10 @@ orthonormal.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 import os
 import pickle
 import threading
@@ -69,6 +82,11 @@ __all__ = [
 # with it, and validate's peak memory with them.
 _CHUNK_TRIALS = 16
 
+# Trials whose seed words one vectorized pass derives: enough for a
+# worker's range at the usual trial counts, and few enough that the words
+# of a huge range are never all held at once.
+_WORDS_PER_PASS = 4096
+
 # Fewest trials per worker process. A fork and its copy-on-write faults
 # cost a few ms, where 256 trials of a 12-user layout at N_t = 64 take
 # about 25 ms (2-core x86 VM).
@@ -77,15 +95,28 @@ _MIN_TRIALS_PER_WORKER = 256
 log = logging.getLogger("noma_secrecy")
 
 
-def _cn(raw: np.ndarray, counts) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex normal rows from the
-    standard normals raw (..., 2 * sum(counts), n), in blocks of counts[b]
-    rows: block by block, each block's real parts first, then its
-    imaginary parts."""
+def _cn_rows(counts) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the real and of the imaginary parts that :func:`_cn`
+    reads from draws laid out in blocks of counts[b] rows: block by
+    block, each block's real parts first, then its imaginary parts."""
     counts = np.array(counts)
     sizes = counts.repeat(counts)
     re_row = np.arange(sizes.size) + (counts.cumsum() - counts).repeat(counts)
-    return (raw[..., re_row, :] + 1j * raw[..., re_row + sizes, :]) / math.sqrt(2.0)
+    return re_row, re_row + sizes
+
+
+def _cn(raw: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex normal rows from the
+    standard normals raw (..., 2 * n_rows, n), at the rows of
+    :func:`_cn_rows`: the bits of (re + 1j * im) / sqrt(2) for every
+    finite raw, built in place in one complex array."""
+    re_row, im_row = rows
+    out = np.empty(raw.shape[:-2] + (re_row.size, raw.shape[-1]), complex)
+    out.real = raw[..., re_row, :]
+    # + 0.0 turns -0.0 into 0.0, as re + 1j * im does.
+    np.add(raw[..., im_row, :], 0.0, out=out.imag)
+    out /= math.sqrt(2.0)
+    return out
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -93,11 +124,99 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+
+
+def _hash(value, const: int, mult: int):
+    """SeedSequence's hashmix of value (an int or a uint32 array) under the
+    hash constant const, and the next constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> _XSHIFT, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the pool word x with the hashed word y."""
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> _XSHIFT
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64) for
+    each trial i in start..stop-1, as rows of a (stop - start, 4) array.
+
+    SeedSequence's mixing, once for all trials: the seed's 32-bit words,
+    padded to the pool size since a spawn key is present, are mixed as
+    Python ints, and the trial index, the last entropy word, as one uint32
+    array."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %d" % seed)
+    if stop > 2**32:
+        raise ValueError("at most 2**32 trials per seed, got %d" % stop)
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hash(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    state = np.empty((stop - start, 8), np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        state[:, i], const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
+    # Pairs of words as little-endian uint64, as generate_state views them.
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_words():
+    """A seed sequence class that hands PCG64 precomputed state words.
+    Built on first use: importing numpy.random costs about 15 ms, which
+    commands without Monte Carlo trials need not pay."""
+
+    class FixedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedWords
+
+
 def _trial_streams(seed: int, stop: int, start: int = 0) -> Iterator[np.random.Generator]:
     """The generators of trials start..stop-1 of SeedSequence(seed).spawn,
-    made one at a time: a list of 2000 of them holds about 6 MB."""
-    for i in range(start, stop):
-        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    made one at a time, each seeded with its row of :func:`_seed_words`: a
+    list of 2000 of them holds about 6 MB."""
+    fixed = _fixed_words()
+    for lo in range(start, stop, _WORDS_PER_PASS):
+        for row in _seed_words(seed, lo, min(stop, lo + _WORDS_PER_PASS)):
+            yield np.random.Generator(np.random.PCG64(fixed(row)))
 
 
 def _layouts(cfg: SystemConfig) -> tuple[tuple[int, ...], ...]:
@@ -154,7 +273,7 @@ def _an_directions(h_hat: np.ndarray, v: np.ndarray, rngs) -> np.ndarray:
         todo = np.flatnonzero(~ok[t])
         while todo.size:
             raw = rngs[t].standard_normal((2 * todo.size, h_hat.shape[-1]))
-            redraw = _cn(raw, (1,) * todo.size)
+            redraw = _cn(raw, _cn_rows((1,) * todo.size))
             z_t, ok_t = _project_out(h_hat[t, todo], norm_sq[t, todo], redraw)
             z[t, todo[ok_t]] = z_t[ok_t]
             todo = todo[~ok_t]
@@ -250,22 +369,32 @@ def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) 
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     debug = log.isEnabledFor(logging.DEBUG)
-    if debug:
-        t0 = perf_counter()
+    clock = perf_counter if debug else float  # float() is 0.0: nothing timed
+    t0 = clock()
     layouts = _layouts(cfg)[:n_draws]
+    cn_rows = [_cn_rows(c) for c in layouts]
     n_chunks = -(-n_trials // _CHUNK_TRIALS)
     workers = min(_worker_count(n_trials), n_chunks)
     bounds = [_CHUNK_TRIALS * (n_chunks * i // workers) for i in range(workers)] + [n_trials]
+    spent = [0.0, 0.0]  # this process's seconds drawing and in run
 
     def chunks(start, stop):
         streams = _trial_streams(seed, stop, start) if start else _trial_streams(seed, stop)
+        size = min(_CHUNK_TRIALS, stop - start)
+        buffers = [np.empty((size, 2 * sum(c), cfg.n_antennas)) for c in layouts]
         for lo in range(start, stop, _CHUNK_TRIALS):
+            t1 = clock()
             rngs = list(islice(streams, _CHUNK_TRIALS))
-            raws = [np.empty((len(rngs), 2 * sum(c), cfg.n_antennas)) for c in layouts]
+            raws = [b[: len(rngs)] for b in buffers]
             for t, rng in enumerate(rngs):
                 for raw in raws:
                     rng.standard_normal(out=raw[t])
-            yield lo, run(rngs, *(_cn(raw, c) for raw, c in zip(raws, layouts)))
+            rows = [_cn(raw, r) for raw, r in zip(raws, cn_rows)]
+            t2 = clock()
+            out = run(rngs, *rows)
+            spent[0] += t2 - t1
+            spent[1] += clock() - t2
+            yield lo, out
 
     def write(pairs):
         for lo, rows in pairs:
@@ -296,8 +425,9 @@ def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) 
             raise pickle.loads(payload)
     if debug:
         log.debug(
-            "Monte Carlo: %d trials, %d chunks, %d worker processes, %.3g s",
-            n_trials, n_chunks, workers, perf_counter() - t0,
+            "Monte Carlo: %d trials, %d chunks, %d worker processes, %.3g s"
+            " (this process: %.3g s drawing, %.3g s pipeline)",
+            n_trials, n_chunks, workers, clock() - t0, *spent,
         )
     return tables
 

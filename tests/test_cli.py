@@ -503,6 +503,76 @@ class TestRejectsBadSpecs:
         assert all(type(v) is int for v in (spec.n_antennas, *spec.sweep_values, spec.seed))
 
 
+class TestSeedAndTrialLimits:
+    """A negative seed, from the spec or --seed, and a trial count whose
+    indices do not fit one 32-bit spawn word fail at the boundary, naming
+    their key; a simulation that runs out of memory fails with one
+    `error:` line. Nothing is written."""
+
+    CLUSTERS = {"clusters": [[70.0, 15.0], [50.0]]}
+
+    @pytest.mark.parametrize("command", ["rates", "validate"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        spec_path = write_spec(tmp_path / "spec.json", system=self.CLUSTERS, seed=-1, trials=3)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            load_spec(str(spec_path))
+        out = tmp_path / "out.csv"
+        assert main([command, "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rates", "validate"])
+    def test_negative_seed_override_is_named(self, tmp_path, capsys, command):
+        spec_path = write_spec(tmp_path / "spec.json", system=self.CLUSTERS, trials=3)
+        out = tmp_path / "out.csv"
+        argv = [command, "--spec", str(spec_path), "--out", str(out), "--seed", "-5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", [2**32, 10**12])
+    def test_trial_count_beyond_one_spawn_word_is_named(self, tmp_path, capsys, trials):
+        spec_path = write_spec(tmp_path / "spec.json", trials=trials)
+        out = tmp_path / "out.csv"
+        assert main(["validate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        message = "error: trials must be >= 1 and < 2**32, got %d\n" % trials
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # The trial tables are the only arrays with a first axis of 4099;
+        # their allocation fails as numpy's does for a count too large.
+        trials = 4099
+        empty = np.empty
+
+        def failing_empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[:1] == (trials,):
+                raise MemoryError("Unable to allocate 1 TiB for an array")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        spec_path = write_spec(tmp_path / "spec.json", trials=trials)
+        out = tmp_path / "out.csv"
+        assert main(["validate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 1 TiB for an array\n"
+        assert not out.exists()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # The trial generators' seed class is built on first use, so commands
+    # pay numpy.random's import only when they draw.
+    package_root = os.path.dirname(os.path.dirname(noma_secrecy.__file__))
+    path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, noma_secrecy.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestRefusesNonFiniteResults:
     """Specs that load but whose rates overflow: the command exits 1 with
     one `error:` line naming a column and writes no file. The overflow

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -348,6 +349,29 @@ class TestSimulateTrialsBoundaries:
             simulate_trials(cfg, UplinkPower.full(cfg, 1.0), 5, seed=1)
 
 
+class TestSeedWords:
+    def test_refuses_what_it_cannot_derive(self):
+        # A negative seed would never run out of 32-bit words.
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            next(montecarlo._trial_streams(-1, 3))
+        with pytest.raises(ValueError, match=r"^at most 2\*\*32 trials per seed"):
+            montecarlo._seed_words(1, 2**32 - 1, 2**32 + 1)
+
+    def test_seed_longer_than_the_pool(self):
+        # Seed words past the pool size are mixed in before the trial index.
+        seed = 2**200 + 12345
+        spawned = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(5, 9)]
+        expected = [s.generate_state(4, np.uint64) for s in spawned]
+        assert np.array_equal(montecarlo._seed_words(seed, 5, 9), expected)
+
+    def test_ranges_longer_than_one_pass(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_WORDS_PER_PASS", 3)
+        draws = [rng.standard_normal(2) for rng in montecarlo._trial_streams(9, 8, 1)]
+        for i, got in enumerate(draws, start=1):
+            rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(i,)))
+            assert np.array_equal(got, rng.standard_normal(2)), i
+
+
 def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -435,6 +459,14 @@ class TestWorkerProcesses:
         (record,) = caplog.records
         message = record.getMessage()
         assert message.startswith("Monte Carlo: 11 trials, 6 chunks, 3 worker processes, ")
+
+    def test_debug_line_splits_this_process_time(self, split, caplog):
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            simulate_trials(CFG22, P22, 11, seed=5)
+        (record,) = caplog.records
+        pattern = r"Monte Carlo: .*, (\S+) s \(this process: (\S+) s drawing, (\S+) s pipeline\)"
+        total, drawing, pipeline = map(float, re.fullmatch(pattern, record.getMessage()).groups())
+        assert 0.0 < drawing and 0.0 < pipeline and drawing + pipeline <= total
 
     def test_nothing_is_timed_or_formatted_without_debug(self, split, caplog, monkeypatch):
         def forbidden():

@@ -11,8 +11,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from noma_secrecy import montecarlo
 from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_validate
@@ -577,6 +578,53 @@ def test_error_decomposition_equal_for_any_worker_count(instance, n_trials, seed
         lambda: error_decomposition_check(cfg, p, n_trials, seed), n_trials
     ):
         assert repr(stats) == expected, (workers, chunk)
+
+
+@PROPERTY
+@given(st.integers(0, 2**128 - 1), st.integers(0, 2**32 - 40), st.integers(1, 40))
+@example(0, 0, 5)
+@example(2**32 - 1, 3, 7)
+@example(2**32, 0, 1)
+@example(2**64, 17, 40)
+@example(2**127, 2**32 - 40, 40)  # up to the last one-word trial index
+def test_seed_words_equal_spawned_seed_sequences(seed, start, count):
+    stop = start + count
+    words = montecarlo._seed_words(seed, start, stop)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for i, (row, rng) in enumerate(zip(words, montecarlo._trial_streams(seed, stop, start))):
+        spawned = np.random.SeedSequence(seed, spawn_key=(start + i,))
+        assert np.array_equal(row, spawned.generate_state(4, np.uint64)), i
+        reference = np.random.default_rng(spawned)
+        assert np.array_equal(rng.standard_normal(3), reference.standard_normal(3)), i
+        assert rng.integers(2**63) == reference.integers(2**63), i
+
+
+def cn_expression(raw, counts):
+    """The complex rows as one expression: two row copies, three complex
+    temporaries."""
+    counts = np.array(counts)
+    sizes = counts.repeat(counts)
+    re_row = np.arange(sizes.size) + (counts.cumsum() - counts).repeat(counts)
+    return (raw[..., re_row, :] + 1j * raw[..., re_row + sizes, :]) / math.sqrt(2.0)
+
+
+@st.composite
+def raw_draws(draw):
+    """Block sizes and a (trials, 2 * rows, n) array of finite floats, with
+    signed zeros, subnormals and huge values among them."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    shape = (draw(st.integers(1, 3)), 2 * sum(counts), draw(st.integers(1, 5)))
+    elements = st.floats(allow_nan=False, allow_infinity=False)
+    return counts, draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@PROPERTY
+@given(raw_draws())
+@example(([2, 1], np.array([[[-0.0], [0.0], [-0.0], [-0.0], [1.5], [-0.0]]])))
+def test_cn_equals_the_expression_bit_for_bit(draws):
+    counts, raw = draws
+    got = montecarlo._cn(raw, montecarlo._cn_rows(counts))
+    assert np.array_equal(got.view(np.uint64), cn_expression(raw, counts).view(np.uint64))
 
 
 @PROPERTY
