@@ -31,7 +31,8 @@ trial's generator, after that trial's three calls.
 The chunks run on the CPUs this process may run on: the trials are split
 into contiguous ranges of whole chunks, one per CPU but none shorter than
 _MIN_TRIALS_PER_WORKER trials, and each range after the first runs in a
-forked child, which sends its rows back down a pipe.
+forked child (the package's one fork/join path, `_workers`), which sends
+its rows back down a pipe.
 
 Determinism contract: a given (seed, n_trials) pair gives the same table
 bytes whatever the chunk size, the number of worker processes and however
@@ -52,10 +53,7 @@ import functools
 import logging
 import math
 import operator
-import os
 import pickle
-import threading
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -63,6 +61,7 @@ from time import perf_counter
 
 import numpy as np
 
+from ._workers import _fork, _join, available_cpus
 from .model import DownlinkPower, SystemConfig, UplinkPower, compute_rho
 from .rates import RateReport, _user_terms, chi_mean
 
@@ -281,74 +280,10 @@ def _an_directions(h_hat: np.ndarray, v: np.ndarray, rngs) -> np.ndarray:
 
 
 def _worker_count(n_trials: int) -> int:
-    """Processes to run n_trials in: one per CPU this process may run on,
-    with at least _MIN_TRIALS_PER_WORKER trials each. 1 where the platform
-    has no sched_getaffinity, or while another Python thread is alive:
-    forking beside a running thread can deadlock the child."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_trials // _MIN_TRIALS_PER_WORKER))
-
-
-def _fork(work, *args) -> tuple[int, int]:
-    """Run work(*args) in a forked child, which then leaves with os._exit.
-    work returns the arrays to send back. The child writes a 0 byte and
-    their bytes down a pipe, or a 1 byte and its pickled exception.
-    Returns the child's pid and the read end of the pipe."""
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork() in a process with more than one
-            # OS thread. Forking runs only while no other Python thread is
-            # alive (_worker_count), so the other threads are OpenBLAS's idle
-            # pool, which has its own at-fork handlers; the child runs numpy
-            # code and os._exit only.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded", DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                try:
-                    arrays = work(*args)
-                except BaseException as exc:
-                    pipe.write(b"\1" + pickle.dumps(exc))
-                else:
-                    pipe.write(b"\0")
-                    for a in arrays:
-                        pipe.write(a)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _join(pid: int, read: int, arrays) -> bytes:
-    """Read a forked child's pipe, filling arrays with what it sent, and
-    reap the child. Returns b"" if it sent its arrays, else the pickled
-    exception it raised, or one saying that it stopped early."""
-    payload = None
-    try:
-        with os.fdopen(read, "rb") as pipe:
-            flag = pipe.read(1)
-            if flag == b"\1":
-                payload = pipe.read()
-            elif flag == b"\0" and all(pipe.readinto(a) == a.nbytes for a in arrays):
-                payload = b""
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if payload is None:
-        message = "a Monte Carlo worker stopped early (exit status %d)" % code
-        payload = pickle.dumps(RuntimeError(message))
-    return payload
+    """Processes to run n_trials in: one per available CPU
+    (:func:`available_cpus`), with at least _MIN_TRIALS_PER_WORKER trials
+    each."""
+    return max(1, min(available_cpus(), n_trials // _MIN_TRIALS_PER_WORKER))
 
 
 def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) -> list:
@@ -420,8 +355,8 @@ def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) 
         write(own)
     finally:
         ends = [_join(pid, read, slices(*r)) for (pid, read), r in zip(children, ranges)]
-    for payload in ends:
-        if payload:
+    for ok, payload in ends:
+        if not ok:
             raise pickle.loads(payload)
     if debug:
         log.debug(

@@ -466,6 +466,14 @@ def _report_kernel(solver: str, trace: SolverTrace) -> None:
         )
 
 
+def _add_counts(trace: SolverTrace, other: SolverTrace) -> None:
+    """Add other's kernel stops, Newton fallbacks and capped stages to
+    trace's."""
+    trace.kernel_stops.update(other.kernel_stops)
+    trace.kernel_fallbacks += other.kernel_fallbacks
+    trace.stage_caps += other.stage_caps
+
+
 def _dc_stage(
     cfg: SystemConfig, stage: _Stage, x, start: float, options: SolveOptions, trace: SolverTrace
 ):
@@ -510,9 +518,13 @@ def _alternate(
     lam: float = 0.0,
     circuit_power: float = 0.0,
     outer_tol: float | None = None,
+    first_uplink=None,
 ) -> tuple[UplinkPower, DownlinkPower, SolverTrace]:
     """Alternating uplink/downlink DC solve of the (optionally power-
-    penalized) smooth secrecy sum."""
+    penalized) smooth secrecy sum. first_uplink, if given, is the result
+    (p, q, report, trace) of the first uplink stage, already solved from
+    p0 at q0: its powers, objective sequence and counts are taken as they
+    are."""
     outer_tol = options.outer_tol if outer_tol is None else outer_tol
     p, q = p0, q0
     trace = SolverTrace()
@@ -520,10 +532,17 @@ def _alternate(
 
     for _ in range(options.max_outer):
         # Uplink stage at fixed downlink powers.
-        p, r_up, _ = _dc_stage(
-            cfg, _uplink_stage(cfg, q, p_max, lam, circuit_power),
-            p, trace.outer_values[-1], options, trace,
-        )
+        if first_uplink is None:
+            p, r_up, _ = _dc_stage(
+                cfg, _uplink_stage(cfg, q, p_max, lam, circuit_power),
+                p, trace.outer_values[-1], options, trace,
+            )
+        else:
+            p, _, _, stage_trace = first_uplink
+            first_uplink = None
+            trace.step_values.append(list(stage_trace.step_values[0]))
+            _add_counts(trace, stage_trace)
+            r_up = trace.step_values[-1][-1]
         trace.outer_values.append(r_up)
 
         # Downlink stage at the resulting estimation quality.
@@ -563,16 +582,25 @@ def maximize_se(
     p_max,
     q_max: float,
     options: SolveOptions | None = None,
+    _uplink=None,
 ) -> tuple[UplinkPower, DownlinkPower, RateReport, SolverTrace]:
     """Alternating DC maximization of the sum secrecy rate.
 
     Starts from the fixed baseline allocation, so the first trace value
     is the baseline's objective and every later value records the
     improvement over it.
+
+    Its first uplink stage, at lambda = 0 from the fixed split, is the
+    stage `baseline_uplink_se` solves. A caller that has run
+    `baseline_uplink_se(cfg, p_max, q_max, options)` may pass its result
+    as `_uplink`: the solve then takes that stage's powers, objective
+    sequence and kernel counts instead of solving it again (so that
+    stage's DEBUG line is the baseline's), and returns what a fresh solve
+    returns, bit for bit.
     """
     options = options or SolveOptions()
     p0, q0 = baseline_fixed(cfg, p_max, q_max)
-    p, q, trace = _alternate(cfg, p_max, q_max, p0, q0, options)
+    p, q, trace = _alternate(cfg, p_max, q_max, p0, q0, options, first_uplink=_uplink)
     _report_kernel("maximize_se", trace)
     report = secrecy_report(cfg, p, q)
     return p, q, report, trace
@@ -618,9 +646,7 @@ def maximize_ee(
             circuit_power=circuit_power,
             outer_tol=options.ee_outer_tol,
         )
-        trace.kernel_stops.update(round_trace.kernel_stops)
-        trace.kernel_fallbacks += round_trace.kernel_fallbacks
-        trace.stage_caps += round_trace.stage_caps
+        _add_counts(trace, round_trace)
         se_smooth = smooth_secrecy_sum(cfg, p, q)
         denom = p.total() + q.total() + circuit_power
         f_hat = se_smooth - lam * denom

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 
 import noma_secrecy
-from noma_secrecy import montecarlo
+from noma_secrecy import experiments, montecarlo
 from noma_secrecy.cli import main
-from noma_secrecy.experiments import _point, build_config, load_spec, run_validate
+from noma_secrecy.experiments import _point, _verdict, build_config, load_spec, run_validate
+from noma_secrecy.optimize import SolveOptions
+from noma_secrecy.rates import RateReport
 
 
 def write_spec(path, **overrides):
@@ -191,6 +194,88 @@ class TestValidateCommand:
         assert float(message.rsplit(" ", 1)[1]) == pytest.approx(max(z, default=0.0), rel=5e-3)
 
 
+class TestValidateVerdict:
+    """validate warns when a moment row leaves the Bonferroni band of the
+    moment rows, or a rate row is more than 5% off its closed form; rows
+    outside 3 sigma alone do not warn."""
+
+    def spec(self, tmp_path):
+        # Acceptance criterion 02's operating point: N_t = 128, 4 clusters of
+        # 2 users, a -15 dB downlink budget. Every closed-form rate is within
+        # 4.1% of the estimate, which still resolves the bias of some.
+        clusters = [[94.353, 35.942], [78.481, 59.128], [92.273, 29.433], [86.933, 36.414]]
+        return write_spec(
+            tmp_path / "spec.json",
+            system={"n_antennas": 128, "clusters": clusters, "pilot_len": 4},
+            powers={"q_max_db": -15.0},
+            trials=1000,
+        )
+
+    def verdict(self, tmp_path, caplog):
+        out = tmp_path / "val.csv"
+        with caplog.at_level(logging.INFO, logger="noma_secrecy"):
+            assert main(["validate", "--spec", str(self.spec(tmp_path)), "--out", str(out)]) == 0
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("validate ")]
+        return record, read_rows(out)
+
+    def test_closed_forms_within_bounds_log_info(self, tmp_path, caplog):
+        record, rows = self.verdict(tmp_path, caplog)
+        assert any(abs(float(r["z_score"])) > 3.0 for r in rows)  # outside 3 sigma, yet
+        assert record.levelno == logging.INFO
+        assert "moment rows ok: 0 of 132 outside the Bonferroni band" in record.getMessage()
+        assert "rate rows ok: 0 of 24 more than 5% from the closed form" in record.getMessage()
+
+    def test_closed_form_ten_percent_off_warns(self, tmp_path, caplog, monkeypatch):
+        secrecy_report = experiments.secrecy_report
+
+        def scaled(cfg, p, q):
+            report = secrecy_report(cfg, p, q)
+            rates = (report.legit, report.eaves, report.secrecy)
+            legit, eaves, secrecy = (tuple(1.1 * r for r in rows) for rows in rates)
+            return RateReport(legit, eaves, secrecy, 1.1 * report.sum_secrecy)
+
+        monkeypatch.setattr(experiments, "secrecy_report", scaled)
+        record, _ = self.verdict(tmp_path, caplog)
+        assert record.levelno == logging.WARNING
+        assert "moment rows ok: " in record.getMessage()
+        assert "rate rows FAIL: " in record.getMessage()
+
+    @staticmethod
+    def rows(z_moments, rel_rates):
+        """validate rows with the given moment z-scores and rate gaps."""
+        moments = [["s", "moment", "m", 1, 1, 1.0, 1.0, 1.0, z, 0.0, False] for z in z_moments]
+        rates = [["s", "rate", "legit", 1, 1, 1.0, 1.0, 1.0, 1.0, rel, False] for rel in rel_rates]
+        return moments + rates
+
+    def test_moment_rows_are_judged_by_the_bonferroni_band(self):
+        # 200 moment rows: the two-sided bound at 1e-6 is |z| <= 5.85.
+        level, message = _verdict("s", self.rows([4.5] + [0.0] * 199, [0.0]))
+        assert level == logging.INFO
+        assert "1 of 201 banded rows outside 3 sigma (1 moment, 0 rate)" in message
+        assert "moment rows ok: 0 of 200 outside the Bonferroni band |z| <= 5.85" in message
+        level, message = _verdict("s", self.rows([-6.0] + [0.0] * 199, [0.0]))
+        assert level == logging.WARNING
+        assert "moment rows FAIL: 1 of 200" in message and "rate rows ok" in message
+
+    def test_rate_rows_are_judged_by_their_relative_gap(self):
+        level, _ = _verdict("s", self.rows([0.0], [0.05, None]))
+        assert level == logging.INFO
+        level, message = _verdict("s", self.rows([0.0], [0.0501]))
+        assert level == logging.WARNING and "rate rows FAIL: 1 of 1 more than 5%" in message
+        # A zero closed form with a nonzero estimate has no relative gap.
+        rows = self.rows([0.0], [None])
+        rows[-1][5] = 0.5
+        assert _verdict("s", rows)[0] == logging.WARNING
+
+    def test_rows_without_a_band_are_not_judged(self):
+        rows = self.rows([9.0], [0.5])
+        for row in rows:
+            row[10] = True
+        level, message = _verdict("s", rows)
+        assert level == logging.INFO
+        assert "0 of 0 banded rows" in message
+
+
 class TestOptimizeCommand:
     def test_se_trace_monotone(self, tmp_path):
         spec_path = write_spec(tmp_path / "spec.json")
@@ -324,6 +409,72 @@ class TestSweepCommand:
         assert (tmp_path / "s1_summary.csv").read_bytes() == (
             tmp_path / "s2_summary.csv"
         ).read_bytes()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepWorkers:
+    """Sweep points run in one forked worker per CPU, and a run looks the
+    same from outside at any worker count: the bytes, the error and the
+    log records."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+        return force
+
+    def sweep(self, tmp_path, name, **sweep):
+        spec_path = write_spec(tmp_path / ("%s.json" % name), system={"n_antennas": 8}, sweep=sweep)
+        return main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / ("%s.csv" % name))])
+
+    def test_first_failing_point_in_axis_order_wins(self, tmp_path, cpus, capsys):
+        # Two workers deal the points as {0, 3} and {1, 2}: the second point
+        # fails in the child, and the fourth, later, in this process.
+        errors = []
+        for workers in (1, 2):
+            cpus(workers)
+            values = [0.0, 300.0, 400.0, 500.0]
+            assert self.sweep(tmp_path, "w%d" % workers, axis="p_max_db", values=values) == 1
+            errors.append(capsys.readouterr().err)
+            no_child_left()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: powers.p_max_db = 300.0 is too large")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w1.json", "w2.json"]
+
+    def test_log_records_equal_for_any_worker_count(self, tmp_path, cpus, caplog, monkeypatch):
+        # One kernel iteration per call: every solve also logs its WARNING.
+        monkeypatch.setattr(
+            experiments, "SolveOptions", lambda: SolveOptions(kernel_max_iter=1, max_inner=3)
+        )
+        logs = []
+        for workers in (1, 2):
+            cpus(workers)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+                assert self.sweep(tmp_path, "w", axis="n_antennas", values=[8, 12, 16]) == 0
+            logs.append(
+                [(r.levelno, re.sub(r"\S+ s\b", "X s", r.getMessage())) for r in caplog.records]
+            )
+            no_child_left()
+        assert logs[0][-1] == (logging.DEBUG, "sweep: 3 points, 1 worker processes, X s")
+        assert logs[1][-1] == (logging.DEBUG, "sweep: 3 points, 2 worker processes, X s")
+        assert logs[0][:-1] == logs[1][:-1]
+        assert sum(level == logging.WARNING for level, _ in logs[0]) >= 3
+        assert sum(" DC stage: " in message for _, message in logs[0]) > 3
+
+    def test_nothing_is_timed_or_formatted_without_debug(self, tmp_path, cpus, monkeypatch):
+        def forbidden():
+            raise AssertionError("timed without DEBUG")
+
+        monkeypatch.setattr(experiments, "perf_counter", forbidden)
+        cpus(2)
+        assert self.sweep(tmp_path, "w", axis="q_max_db", values=[0.0, 10.0]) == 0
+        no_child_left()
 
 
 class TestCliSurface:

@@ -15,8 +15,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from noma_secrecy import montecarlo
-from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_validate
+from noma_secrecy import _workers, montecarlo
+from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_sweep, run_validate
 from noma_secrecy.model import (
     ClusterConfig,
     DownlinkPower,
@@ -47,8 +47,10 @@ from noma_secrecy.optimize import (
     _uplink_forms,
     _uplink_stage,
     baseline_fixed,
+    baseline_uplink_se,
     downlink_dc_step,
     maximize_ee,
+    maximize_se,
     smooth_secrecy_sum,
     uplink_dc_step,
 )
@@ -776,3 +778,99 @@ def test_newton_kernel_matches_the_gradient_kernel(instance):
         cap = problem.feasible_set.cap
         assert newton.point.sum() == pytest.approx(cap, rel=1e-12)
         assert np.all(newton.point[:off] == 0.0)
+
+
+@st.composite
+def sweep_specs(draw):
+    """A sweep spec over 1-5 points of any axis, on a small layout: 1-2
+    clusters of 1-2 users, or on the users_per_cluster axis a drawn pool
+    of 4 gains. No circuit power: the EE solve adds time, not paths."""
+    axis = draw(st.sampled_from(["n_antennas", "q_max_db", "p_max_db", "users_per_cluster"]))
+    grid = {
+        "n_antennas": [2, 3, 4, 6, 8, 12, 16],
+        "q_max_db": [-10.0, -5.0, 0.0, 5.0, 10.0, 20.0],
+        "p_max_db": [-10.0, -3.0, 0.0, 5.0, 10.0],
+        "users_per_cluster": [1, 2, 4],
+    }[axis]
+    values = sorted(draw(st.lists(st.sampled_from(grid), min_size=1, max_size=5, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(tiny_sizes)
+    clusters = tuple(tuple(np.sort(rng.uniform(0.5, 100.0, k))[::-1].tolist()) for k in sizes)
+    pool = axis == "users_per_cluster"
+    return ExperimentSpec(
+        scenario="property",
+        n_antennas=draw(st.sampled_from([4, 8])),
+        coherence_len=300,
+        eav_gain=draw(st.sampled_from([0.0, 10.0])),
+        pilot_len=None,
+        clusters=None if pool else clusters,
+        n_clusters=None,
+        users_per_cluster=1 if pool else None,
+        total_users=4 if pool else None,
+        p_max_db=0.0,
+        q_max_db=10.0,
+        circuit_power_db=None,
+        an_fraction=0.2,
+        sweep_axis=axis,
+        sweep_values=tuple(values),
+        trials=1,
+        seed=draw(st.integers(0, 2**16)),
+        output=None,
+    )
+
+
+def sweep_bytes(spec, workers):
+    """run_sweep's two files with the worker count forced to `workers`,
+    or the error it raised."""
+    cpus = set(range(workers))
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+        assert _workers.available_cpus() == workers
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                paths = run_sweep(spec, os.path.join(tmp, "sweep.csv"))
+            except ValueError as exc:
+                return "error: %s" % exc
+            return [open(path, "rb").read() for path in paths]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(sweep_specs())
+def test_sweep_bytes_equal_for_any_worker_count(spec):
+    expected = sweep_bytes(spec, 1)
+    for workers in (2, 3, 4):
+        assert sweep_bytes(spec, workers) == expected, workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def exact(value):
+    """The bits of a solver result, for equality: arrays and allocations
+    as bytes, floats by repr, containers element by element."""
+    if isinstance(value, (UplinkPower, DownlinkPower)):
+        return value.flat().tobytes()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return {f.name: exact(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    instances(),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    st.sampled_from([1.0, 10.0, 100.0]),
+    st.sampled_from([1, 3, 50]),
+    st.sampled_from([1, 4]),
+)
+def test_passed_uplink_baseline_equals_a_fresh_solve(instance, p_max, q_max, max_inner, max_outer):
+    cfg = instance[0]
+    options = SolveOptions(max_inner=max_inner, max_outer=max_outer)
+    fresh = maximize_se(cfg, p_max, q_max, options)
+    uplink = baseline_uplink_se(cfg, p_max, q_max, options)
+    reused = maximize_se(cfg, p_max, q_max, options, _uplink=uplink)
+    assert exact(reused) == exact(fresh)
