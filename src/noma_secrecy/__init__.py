@@ -24,15 +24,11 @@ from .model import (
 )
 from .rates import (
     RateReport,
-    SinrDecomposition,
     asymptotic_high_power,
     asymptotic_large_nt,
-    eaves_rate,
     energy_efficiency,
-    legit_rate,
     oma_report,
     secrecy_report,
-    sinr_terms,
 )
 from .optimize import (
     SolveOptions,
@@ -56,10 +52,6 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "RateReport",
-    "SinrDecomposition",
-    "sinr_terms",
-    "legit_rate",
-    "eaves_rate",
     "secrecy_report",
     "asymptotic_large_nt",
     "asymptotic_high_power",

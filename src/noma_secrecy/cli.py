@@ -6,7 +6,8 @@ evaluation), `validate` (closed forms vs Monte Carlo), `optimize`
 every allocator). Results are written as CSV; powers are dB-valued in
 the spec file and on these flags only.
 
-NOMA_SECRECY_LOG selects the log level (DEBUG, INFO, WARNING, ...).
+NOMA_SECRECY_LOG selects the log level: DEBUG, INFO, WARNING (the
+default, also when it is empty), ERROR or CRITICAL, in any case.
 """
 
 from __future__ import annotations
@@ -59,18 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def _configure_logging() -> None:
-    level_name = os.environ.get("NOMA_SECRECY_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    value = os.environ.get("NOMA_SECRECY_LOG", "")
+    level_name = value.upper() or "WARNING"
+    if level_name not in _LEVELS:
+        raise ValueError(
+            "NOMA_SECRECY_LOG must be one of %s, got %r" % (", ".join(_LEVELS), value)
+        )
+    logging.basicConfig(
+        level=getattr(logging, level_name), format="%(levelname)s %(name)s: %(message)s"
+    )
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
+        _configure_logging()
         spec = load_spec(args.spec)
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)

@@ -288,6 +288,13 @@ def load_spec(path: str) -> ExperimentSpec:
         raise ValueError(
             "system needs either explicit clusters or n_clusters + users_per_cluster"
         )
+    # A users_per_cluster sweep cuts the drawn gain pool, whose size one of
+    # these two keys fixes, whatever explicit clusters the spec has.
+    counts = (spec.n_clusters, spec.total_users)
+    if spec.sweep_axis == "users_per_cluster" and counts == (None, None):
+        raise ValueError(
+            "sweep.axis users_per_cluster needs system.n_clusters or system.total_users"
+        )
     return spec
 
 

@@ -288,21 +288,13 @@ class UplinkPower(_FlatRows):
     @classmethod
     def full(cls, cfg: SystemConfig, value) -> "UplinkPower":
         """Every user at `value`: a scalar, or ragged rows of the layout's sizes."""
-        return cls._full(cfg.users_per_cluster, value)
-
-    @classmethod
-    def _full(cls, sizes: tuple[int, ...], value) -> "UplinkPower":
+        sizes = cfg.users_per_cluster
         if np.isscalar(value):
             return cls._wrap(np.full(sum(sizes), float(value)), sizes)
         power = cls(tuple(value))
         if tuple(r.size for r in power.p) != sizes:
             raise ValueError("per-user spec rows must have sizes %s" % (sizes,))
         return power
-
-    def check_budget(self, p_max) -> None:
-        sizes = tuple(r.size for r in self.p)
-        over = self._flat > self._full(sizes, p_max).flat() + 1e-12
-        _check(sizes, [(~over, "uplink power exceeds its cap in cluster %d")])
 
 
 @dataclass(frozen=True)
@@ -334,12 +326,6 @@ class DownlinkPower(_FlatRows):
 
     def an_total(self) -> float:
         return float(sum(r[0] for r in self.q))
-
-    def check_budget(self, q_max: float) -> None:
-        if self.total() > q_max + 1e-9:
-            raise ValueError(
-                "downlink power %.6g exceeds the budget %.6g" % (self.total(), q_max)
-            )
 
 
 @dataclass(frozen=True)

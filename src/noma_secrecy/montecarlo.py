@@ -69,8 +69,6 @@ __all__ = [
     "MomentStat",
     "OracleReport",
     "error_decomposition_check",
-    "moment_suite",
-    "ergodic_rate_oracle",
     "TrialTables",
     "simulate_trials",
     "reduce_moments",
@@ -435,14 +433,6 @@ def simulate_trials(cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int)
     return TrialTables(*_chunk_loop(cfg, n_trials, seed, 3, chunk))
 
 
-def moment_suite(
-    cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, n_trials: int, seed: int
-) -> list[MomentStat]:
-    """Empirical counterparts of every moment entering the closed forms:
-    :func:`reduce_moments` over :func:`simulate_trials`."""
-    return reduce_moments(cfg, p, q, simulate_trials(cfg, p, n_trials, seed))
-
-
 def reduce_moments(
     cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, tables: TrialTables
 ) -> list[MomentStat]:
@@ -574,14 +564,6 @@ class OracleReport:
     report: RateReport
     legit_se: tuple[np.ndarray, ...]
     eaves_se: tuple[np.ndarray, ...]
-
-
-def ergodic_rate_oracle(
-    cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, n_trials: int, seed: int
-) -> OracleReport:
-    """Monte Carlo estimate of the per-user ergodic rates:
-    :func:`reduce_rates` over :func:`simulate_trials`."""
-    return reduce_rates(cfg, q, simulate_trials(cfg, p, n_trials, seed))
 
 
 def _rate_samples(

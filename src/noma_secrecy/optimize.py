@@ -37,11 +37,10 @@ the downlink powers' per-user views, the eavesdropping rates and the
 downlink total. It repeats `smooth_secrecy_sum` and `_stage_objective`
 operation for operation, so it returns the same bytes; a property test
 checks that. One stage loop, `_dc_stage`, serves the SE solver, each
-Dinkelbach round of the EE solver and both baselines; the public
-one-step functions `uplink_dc_step` and `downlink_dc_step` run one step
-on the same stage. Each DC step's surrogate keeps the log arguments
-A x + b of the point it evaluated last, and its Hessian oracle reuses
-them when the kernel asks for the Hessian at that point.
+Dinkelbach round of the EE solver and both baselines. Each DC step's
+surrogate keeps the log arguments A x + b of the point it evaluated
+last, and its Hessian oracle reuses them when the kernel asks for the
+Hessian at that point.
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ __all__ = [
     "SolveOptions",
     "SolverTrace",
     "OmaResult",
-    "uplink_objective",
-    "downlink_objective",
-    "uplink_dc_step",
-    "downlink_dc_step",
     "smooth_secrecy_sum",
     "maximize_se",
     "maximize_ee",
@@ -174,6 +169,8 @@ def _objective(cfg: SystemConfig, forms, x: np.ndarray, penalty: float):
 # ---------------------------------------------------------------------------
 # Uplink objective: sum_k log2 f1_k - log2 f2_k, both arguments affine in the
 # uplink powers: f = c P_k + a3_k (1 + tau sum_{i in cluster} beta_i P_i).
+# It is the sum legitimate rate; the eavesdropping rates do not depend on the
+# uplink powers, so it differs from the secrecy sum only by a constant.
 
 
 def _uplink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
@@ -185,21 +182,6 @@ def _uplink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
     normalizer = a3[:, None] * same_cluster * bt
     ones = np.ones(cfg.total_users)
     return tuple(LogAffine(np.diag(c * bt) + normalizer, a3, ones) for c in (a1 + a2, a2))
-
-
-def uplink_objective(
-    cfg: SystemConfig,
-    q: DownlinkPower,
-    p: UplinkPower,
-    penalty: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Sum legitimate rate as a function of the uplink powers (downlink
-    fixed), minus penalty * total uplink power; with its gradient.
-
-    The eavesdropping rates do not depend on the uplink powers, so this
-    differs from the secrecy sum only by a constant.
-    """
-    return _objective(cfg, _uplink_forms(cfg, _uplink_coeffs(cfg, q)), p.flat(), penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +204,6 @@ def _downlink_forms(cfg: SystemConfig, coeffs) -> tuple[LogAffine, LogAffine]:
     concave = LogAffine(np.vstack((g2 + b1[:, None] * own, g3)), np.ones(2 * n), np.ones(2 * n))
     sub = LogAffine(np.vstack((g4, g2)), np.ones(n + 1), np.concatenate(([n], np.ones(n))))
     return concave, sub
-
-
-def downlink_objective(
-    cfg: SystemConfig,
-    rho: EstimationQuality,
-    q: DownlinkPower,
-    penalty: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Smooth (unclamped) sum secrecy rate as a function of the downlink
-    powers at fixed estimation quality, minus penalty * total downlink
-    power; with its gradient."""
-    return _objective(cfg, _downlink_forms(cfg, _downlink_coeffs(cfg, rho)), q.flat(), penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -384,53 +354,16 @@ def _surrogate(cfg: SystemConfig, stage: _Stage, x_prev: np.ndarray) -> ConcaveP
 def _dc_step(cfg: SystemConfig, stage: _Stage, x_prev, options, trace) -> np.ndarray:
     """One DC iteration of a stage from x_prev: the kernel's maximizer of
     the `_surrogate` at x_prev. The kernel's stop reason and Newton
-    fallbacks are counted in the trace when one is given."""
+    fallbacks are counted in the trace."""
     result = maximize(
         _surrogate(cfg, stage, x_prev),
         x_prev,
         tol=options.kernel_tol,
         max_iter=options.kernel_max_iter,
     )
-    if trace is not None:
-        trace.kernel_stops[result.stop] += 1
-        trace.kernel_fallbacks += result.fallbacks
+    trace.kernel_stops[result.stop] += 1
+    trace.kernel_fallbacks += result.fallbacks
     return result.point
-
-
-def uplink_dc_step(
-    cfg: SystemConfig,
-    q: DownlinkPower,
-    p_prev: UplinkPower,
-    p_max,
-    penalty: float = 0.0,
-    options: SolveOptions | None = None,
-    trace: SolverTrace | None = None,
-) -> UplinkPower:
-    """One DC iteration of the uplink subproblem: maximize the concave
-    surrogate f1(P) - <grad f2(P_prev), P> (- penalty * sum P) over the
-    per-user box. The kernel's stop reason is counted in `trace`, if
-    given."""
-    stage = _uplink_stage(cfg, q, p_max, penalty)
-    point = _dc_step(cfg, stage, p_prev.flat(), options or SolveOptions(), trace)
-    return UplinkPower.from_flat(cfg, point)
-
-
-def downlink_dc_step(
-    cfg: SystemConfig,
-    rho: EstimationQuality,
-    q_prev: DownlinkPower,
-    q_max: float,
-    penalty: float = 0.0,
-    options: SolveOptions | None = None,
-    trace: SolverTrace | None = None,
-) -> DownlinkPower:
-    """One DC iteration of the downlink subproblem: maximize the concave
-    surrogate g1(Q) + g3(Q) - <grad (g2+g4)(Q_prev), Q> (- penalty *
-    sum Q) over the capped nonnegative set. The kernel's stop reason is
-    counted in `trace`, if given."""
-    stage = _downlink_stage(cfg, rho, q_max, penalty)
-    point = _dc_step(cfg, stage, q_prev.flat(), options or SolveOptions(), trace)
-    return DownlinkPower.from_flat(cfg, point)
 
 
 def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> float:

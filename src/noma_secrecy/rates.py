@@ -38,13 +38,9 @@ from .model import (
 )
 
 __all__ = [
-    "SinrDecomposition",
     "RateReport",
     "chi_mean",
     "array_gain",
-    "sinr_terms",
-    "legit_rate",
-    "eaves_rate",
     "secrecy_report",
     "asymptotic_large_nt",
     "asymptotic_high_power",
@@ -75,20 +71,6 @@ def array_gain(n_antennas: int, exact: bool = False) -> float:
     if exact:
         return chi_mean(n_antennas) ** 2
     return float(n_antennas)
-
-
-@dataclass(frozen=True)
-class SinrDecomposition:
-    """Signal and interference powers entering one user's average SINR."""
-
-    kappa: float
-    im1: float
-    im2: float
-    im3: float
-
-    @property
-    def sinr(self) -> float:
-        return self.kappa / (self.im1 + self.im2 + self.im3 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,7 +126,12 @@ def _legit_rates(cfg: SystemConfig, rho_flat: np.ndarray, views, exact_gain: boo
 
 def _eaves_rates(cfg: SystemConfig, q_flat: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Eavesdropping rate against every user, flat, from a flat downlink
-    vector and its users' own powers."""
+    vector and its users' own powers.
+
+    Independent of both the antenna count and the estimation quality: the
+    eavesdropper's channel is uncorrelated with every beam, so each unit
+    of transmit power lands on it with unit average gain.
+    """
     beta_e = cfg.eav_gain
     return cfg.overhead * np.log2(1.0 + beta_e * own / (beta_e * (q_flat.sum() - own) + 1.0))
 
@@ -155,51 +142,6 @@ def _flat_rates(
     """Legitimate and eavesdropping rates of every user, flat."""
     views = cfg.user_powers(q_flat)
     return _legit_rates(cfg, rho_flat, views, exact_gain), _eaves_rates(cfg, q_flat, views[0])
-
-
-def _user_index(cfg: SystemConfig, m: int, k: int) -> int:
-    if not (0 <= m < cfg.n_clusters and 0 <= k < cfg.users_per_cluster[m]):
-        raise IndexError("no user %d in cluster %d" % (k, m))
-    return int(cfg.user_offsets[m]) + k
-
-
-def sinr_terms(
-    cfg: SystemConfig,
-    rho: EstimationQuality,
-    q: DownlinkPower,
-    m: int,
-    k: int,
-    exact_gain: bool = False,
-) -> SinrDecomposition:
-    """Signal/interference decomposition for user k of cluster m."""
-    u = _user_index(cfg, m, k)
-    terms = _user_terms(cfg, rho.flat(), q.flat(), exact_gain)
-    kappa, im1, im2, im3 = (float(t[u]) for t in terms[:4])
-    return SinrDecomposition(kappa=kappa, im1=im1, im2=im2, im3=im3)
-
-
-def legit_rate(
-    cfg: SystemConfig,
-    rho: EstimationQuality,
-    q: DownlinkPower,
-    m: int,
-    k: int,
-    exact_gain: bool = False,
-) -> float:
-    """Average achievable rate of user (m, k) in bits/s/Hz."""
-    u = _user_index(cfg, m, k)
-    return float(_flat_rates(cfg, rho.flat(), q.flat(), exact_gain)[0][u])
-
-
-def eaves_rate(cfg: SystemConfig, q: DownlinkPower, m: int, k: int) -> float:
-    """Average rate the eavesdropper achieves against user (m, k).
-
-    Independent of both the antenna count and the estimation quality: the
-    eavesdropper's channel is uncorrelated with every beam, so each unit
-    of transmit power lands on it with unit average gain.
-    """
-    u = _user_index(cfg, m, k)
-    return float(_flat_rates(cfg, np.zeros(cfg.total_users), q.flat())[1][u])
 
 
 def secrecy_report(

@@ -22,28 +22,27 @@ from noma_secrecy.model import (
     compute_rho,
     db_to_linear,
 )
-from noma_secrecy.montecarlo import ergodic_rate_oracle, moment_suite
+from noma_secrecy.montecarlo import reduce_moments, reduce_rates, simulate_trials
 from noma_secrecy.optimize import (
     SolveOptions,
     _downlink_coeffs,
     _downlink_forms,
+    _objective,
     _uplink_coeffs,
     _uplink_forms,
     baseline_downlink_se,
     baseline_fixed,
     baseline_uplink_se,
-    downlink_objective,
     maximize_ee,
     maximize_se,
     optimize_oma_tdma,
-    uplink_objective,
 )
 from noma_secrecy.projgrad import finite_difference_gradient
 from noma_secrecy.rates import (
+    _flat_rates,
     asymptotic_high_power,
     asymptotic_large_nt,
     chi_mean,
-    eaves_rate,
     oma_report,
     secrecy_report,
 )
@@ -76,7 +75,7 @@ class TestCriterion01MomentOracle:
         p = UplinkPower(([0.8, 0.4], [0.6, 0.9]))
         q = DownlinkPower(([1.0, 4.0, 2.0], [0.5, 3.0, 1.5]))
         start = time.monotonic()
-        stats = moment_suite(cfg, p, q, 10_000, seed=11)
+        stats = reduce_moments(cfg, p, q, simulate_trials(cfg, p, 10_000, seed=11))
         elapsed = time.monotonic() - start
 
         names = {s.name for s in stats}
@@ -115,7 +114,7 @@ class TestCriterion01MomentOracle:
         )
         p = UplinkPower(([0.8, 0.4], [0.6, 0.9]))
         q = DownlinkPower(([1.0, 4.0, 2.0], [0.5, 3.0, 1.5]))
-        stats = moment_suite(cfg, p, q, 200, seed=1)
+        stats = reduce_moments(cfg, p, q, simulate_trials(cfg, p, 200, seed=1))
         kappa_rows = [s for s in stats if s.name == "kappa"]
         assert len(kappa_rows) == 4  # one per user
 
@@ -128,7 +127,7 @@ class TestCriterion02RateApproximation:
         cfg = study_config(101, m=4, k=2, nt=128)
         p, q = baseline_fixed(cfg, 1.0, db_to_linear(-15.0))
         closed = secrecy_report(cfg, p, q)
-        oracle = ergodic_rate_oracle(cfg, p, q, 10_000, seed=20260808)
+        oracle = reduce_rates(cfg, q, simulate_trials(cfg, p, 10_000, seed=20260808))
         gaps = []
         for m in range(4):
             for k in range(2):
@@ -150,11 +149,12 @@ class TestCriterion03LargeAntennaAsymptote:
 
         p = UplinkPower.full(cfg_at(64), 0.5)
         rho = compute_rho(cfg_at(64), p)
+        eaves = _flat_rates(cfg_at(64), rho.flat(), q.flat())[1]
         ok = True
         for m in range(2):
             k = 1  # every non-strongest user
             legit_limit = asymptotic_large_nt(cfg_at(64), q, m, k)
-            eav = eaves_rate(cfg_at(64), q, m, k)
+            eav = float(eaves[int(cfg_at(64).user_offsets[m]) + k])
             secrecy_limit = max(legit_limit - eav, 0.0)
             gaps = []
             for nt in ladder:
@@ -219,12 +219,10 @@ class TestCriterion05GradientHarness:
         rng = np.random.default_rng(50)
         worst = 0.0
         for p, q in self._feasible_points(cfg, rng):
-            _, grad = uplink_objective(cfg, q, p, penalty=penalty)
+            forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
+            _, grad = _objective(cfg, forms, p.flat(), penalty)
             fd = finite_difference_gradient(
-                lambda x: uplink_objective(
-                    cfg, q, UplinkPower.from_flat(cfg, x), penalty=penalty
-                )[0],
-                p.flat(),
+                lambda x: _objective(cfg, forms, x, penalty)[0], p.flat()
             )
             worst = max(worst, self._rel_err(grad, fd))
         ok = worst < self.RTOL
@@ -239,12 +237,10 @@ class TestCriterion05GradientHarness:
         worst = 0.0
         for p, q in self._feasible_points(cfg, rng):
             rho = compute_rho(cfg, p)
-            _, grad = downlink_objective(cfg, rho, q, penalty=penalty)
+            forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
+            _, grad = _objective(cfg, forms, q.flat(), penalty)
             fd = finite_difference_gradient(
-                lambda x: downlink_objective(
-                    cfg, rho, DownlinkPower.from_flat(cfg, x), penalty=penalty
-                )[0],
-                q.flat(),
+                lambda x: _objective(cfg, forms, x, penalty)[0], q.flat()
             )
             worst = max(worst, self._rel_err(grad, fd))
         assert worst < self.RTOL

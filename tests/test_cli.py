@@ -96,6 +96,26 @@ class TestSpecLoading:
         with pytest.raises(ValueError, match="sweep.axis"):
             load_spec(str(spec_path))
 
+    def test_users_per_cluster_axis_needs_a_cluster_count(self, tmp_path, capsys):
+        # Explicit clusters alone leave the drawn pool's size unset, so the
+        # sweep could only fail at its first point.
+        golden = os.path.join(os.path.dirname(__file__), "golden", "ragged.json")
+        with open(golden) as fh:
+            spec = json.load(fh)
+        spec["sweep"] = {"axis": "users_per_cluster", "values": [1, 2]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        message = "sweep.axis users_per_cluster needs system.n_clusters or system.total_users"
+        with pytest.raises(ValueError, match=message):
+            load_spec(str(spec_path))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+        spec["system"]["total_users"] = 4
+        spec_path.write_text(json.dumps(spec))
+        assert load_spec(str(spec_path)).sweep_axis == "users_per_cluster"
+
     def test_rejects_unsorted_sweep(self, tmp_path):
         spec_path = write_spec(
             tmp_path / "spec.json", sweep={"axis": "n_antennas", "values": [32, 16]}
@@ -507,6 +527,36 @@ class TestCliSurface:
         with caplog.at_level(logging.INFO, logger="noma_secrecy"):
             assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert any("running rates" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "value, level",
+        [("debug", logging.DEBUG), ("Info", logging.INFO), ("ERROR", logging.ERROR),
+         ("", logging.WARNING), (None, logging.WARNING)],
+    )
+    def test_log_level_names_in_any_case(self, tmp_path, monkeypatch, value, level):
+        if value is None:
+            monkeypatch.delenv("NOMA_SECRECY_LOG", raising=False)
+        else:
+            monkeypatch.setenv("NOMA_SECRECY_LOG", value)
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        spec_path = write_spec(tmp_path / "spec.json")
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert levels == [level]
+        assert out.exists()
+
+    @pytest.mark.parametrize("value", ["DEBGU", "WARN", "10", " INFO"])
+    def test_unknown_log_level_is_one_error_line(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("NOMA_SECRECY_LOG", value)
+        spec_path = write_spec(tmp_path / "spec.json")
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: NOMA_SECRECY_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL,"
+            " got %r\n" % value
+        )
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         spec_path = write_spec(tmp_path / "spec.json")

@@ -162,16 +162,6 @@ class TestPowerContainers:
         with pytest.raises(ValueError):
             p.p[0][0] = 5.0
 
-    def test_budget_checks(self):
-        p = UplinkPower(([0.5, 1.0],))
-        p.check_budget(1.0)
-        with pytest.raises(ValueError, match="cap"):
-            p.check_budget(0.75)
-        q = DownlinkPower(([0.5, 1.0, 2.0],))
-        q.check_budget(3.5)
-        with pytest.raises(ValueError, match="budget"):
-            q.check_budget(3.0)
-
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -212,11 +202,3 @@ class TestLayoutSizes:
     def test_solver_rejects_a_cap_of_another_layout(self):
         with pytest.raises(ValueError, match="sizes"):
             maximize_se(make_cfg([[3.0, 2.0, 1.0]]), [[0.5]], 10.0)
-
-    def test_budget_check_rejects_a_cap_of_other_sizes(self):
-        p = UplinkPower(([0.5, 1.0],))
-        with pytest.raises(ValueError, match="sizes"):
-            p.check_budget([[1.0]])
-        p.check_budget([[0.5, 1.0]])
-        with pytest.raises(ValueError, match="cap in cluster 1"):
-            UplinkPower(([0.5], [0.5, 1.0])).check_budget([[1.0], [1.0, 0.75]])

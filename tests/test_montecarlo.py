@@ -20,9 +20,9 @@ from noma_secrecy.montecarlo import (
     _chunk_loop,
     _estimate,
     _unit_beams,
-    ergodic_rate_oracle,
     error_decomposition_check,
-    moment_suite,
+    reduce_moments,
+    reduce_rates,
     simulate_trials,
 )
 from noma_secrecy.rates import chi_mean, secrecy_report
@@ -154,7 +154,7 @@ class TestPrecoderAndAn:
         rng_seed = 11
         rho = compute_rho(CFG22, P22)
         n_trials = 6000
-        stats = moment_suite(CFG22, P22, Q22, n_trials, rng_seed)
+        stats = reduce_moments(CFG22, P22, Q22, simulate_trials(CFG22, P22, n_trials, rng_seed))
         rows = [s for s in stats if s.name == "an_leakage"]
         assert len(rows) == 4
         for row in rows:
@@ -166,21 +166,21 @@ class TestPrecoderAndAn:
 
 class TestMomentSuite:
     def test_all_moments_within_three_se(self):
-        stats = moment_suite(CFG22, P22, Q22, 4000, seed=123)
+        stats = reduce_moments(CFG22, P22, Q22, simulate_trials(CFG22, P22, 4000, seed=123))
         assert len(stats) > 20
         for row in stats:
             assert abs(row.z_score) < 3.5, row
 
     def test_eave_beam_power_is_unit(self):
-        stats = moment_suite(CFG22, P22, Q22, 3000, seed=7)
+        stats = reduce_moments(CFG22, P22, Q22, simulate_trials(CFG22, P22, 3000, seed=7))
         rows = [s for s in stats if s.name == "eave_beam_power"]
         assert {r.predicted for r in rows} == {1.0}
         for row in rows:
             assert abs(row.z_score) < 3.0
 
     def test_deterministic_under_seed(self):
-        a = moment_suite(CFG22, P22, Q22, 500, seed=5)
-        b = moment_suite(CFG22, P22, Q22, 500, seed=5)
+        a = reduce_moments(CFG22, P22, Q22, simulate_trials(CFG22, P22, 500, seed=5))
+        b = reduce_moments(CFG22, P22, Q22, simulate_trials(CFG22, P22, 500, seed=5))
         assert [(r.name, r.empirical) for r in a] == [(r.name, r.empirical) for r in b]
 
 
@@ -212,14 +212,15 @@ class TestErrorDecomposition:
 
 class TestErgodicOracle:
     def test_zero_downlink_power(self):
-        oracle = ergodic_rate_oracle(CFG22, P22, DownlinkPower.zeros(CFG22), 50, seed=1)
+        tables = simulate_trials(CFG22, P22, 50, seed=1)
+        oracle = reduce_rates(CFG22, DownlinkPower.zeros(CFG22), tables)
         for m in range(2):
             np.testing.assert_array_equal(oracle.report.legit[m], np.zeros(2))
             np.testing.assert_array_equal(oracle.report.eaves[m], np.zeros(2))
 
     def test_deterministic_under_seed(self):
-        a = ergodic_rate_oracle(CFG22, P22, Q22, 300, seed=9)
-        b = ergodic_rate_oracle(CFG22, P22, Q22, 300, seed=9)
+        a = reduce_rates(CFG22, Q22, simulate_trials(CFG22, P22, 300, seed=9))
+        b = reduce_rates(CFG22, Q22, simulate_trials(CFG22, P22, 300, seed=9))
         for m in range(2):
             np.testing.assert_array_equal(a.report.legit[m], b.report.legit[m])
             np.testing.assert_array_equal(a.report.eaves[m], b.report.eaves[m])
@@ -238,7 +239,7 @@ class TestErgodicOracle:
         q_total = 10.0 ** (-1.5)
         rows = [np.array([0.2 * q_total / 4] + [0.8 * q_total / 8] * 2) for _ in range(4)]
         q = DownlinkPower(tuple(rows))
-        oracle = ergodic_rate_oracle(cfg, p, q, 4000, seed=33)
+        oracle = reduce_rates(cfg, q, simulate_trials(cfg, p, 4000, seed=33))
         closed = secrecy_report(cfg, p, q)
         for m in range(4):
             np.testing.assert_allclose(
@@ -255,12 +256,12 @@ class TestErgodicOracle:
         rates = []
         for nt in (16, 128):
             cfg = make_cfg([[8.0, 2.0], [5.0, 1.0]], n_antennas=nt, pilot_len=2)
-            oracle = ergodic_rate_oracle(cfg, P22, Q22, 4000, seed=44)
+            oracle = reduce_rates(cfg, Q22, simulate_trials(cfg, P22, 4000, seed=44))
             rates.append(np.concatenate(oracle.report.eaves))
         np.testing.assert_allclose(rates[0], rates[1], rtol=0.08)
 
     def test_single_trial_degenerate_bands(self):
-        oracle = ergodic_rate_oracle(CFG22, P22, Q22, 1, seed=2)
+        oracle = reduce_rates(CFG22, Q22, simulate_trials(CFG22, P22, 1, seed=2))
         assert np.all(np.isnan(np.concatenate(oracle.legit_se)))
 
 

@@ -18,28 +18,29 @@ from noma_secrecy.model import (
 )
 from noma_secrecy.optimize import (
     SolveOptions,
+    SolverTrace,
+    _dc_step,
     _downlink_coeffs,
+    _downlink_forms,
+    _downlink_stage,
+    _objective,
     _uplink_coeffs,
     _uplink_forms,
+    _uplink_stage,
     baseline_downlink_se,
     baseline_fixed,
     baseline_uplink_se,
-    downlink_dc_step,
-    downlink_objective,
     maximize_ee,
     maximize_se,
     optimize_oma_tdma,
     smooth_secrecy_sum,
-    uplink_dc_step,
-    uplink_objective,
 )
 from noma_secrecy.projgrad import Box, ConcaveProblem, finite_difference_gradient, maximize
 from noma_secrecy.rates import (
-    eaves_rate,
+    _flat_rates,
+    _user_terms,
     energy_efficiency,
-    legit_rate,
     secrecy_report,
-    sinr_terms,
 )
 
 
@@ -70,10 +71,24 @@ def random_powers(cfg, rng, p_max=1.0, q_scale=5.0):
     return p, q
 
 
+def uplink_forms(cfg, q):
+    return _uplink_forms(cfg, _uplink_coeffs(cfg, q))
+
+
+def downlink_forms(cfg, rho):
+    return _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
+
+
 def uplink_arguments(cfg, q, p):
     """The affine log arguments (f1, f2) of the uplink forms at p, flat."""
     x = p.flat()
-    return tuple(f.A @ x + f.b for f in _uplink_forms(cfg, _uplink_coeffs(cfg, q)))
+    return tuple(f.A @ x + f.b for f in uplink_forms(cfg, q))
+
+
+def dc_step(cfg, stage, x, options=None):
+    """One DC step of `stage` from the powers x, as the solvers take it."""
+    point = _dc_step(cfg, stage, x.flat(), options or SolveOptions(), SolverTrace())
+    return type(x).from_flat(cfg, point)
 
 
 class TestCoefficients:
@@ -103,13 +118,13 @@ class TestCoefficients:
             p, q = random_powers(cfg, rng)
             rho = compute_rho(cfg, p)
             _, args2 = uplink_arguments(cfg, q, p)
+            _, im1, im2, im3 = _user_terms(cfg, rho.flat(), q.flat())[:4]
             tau = cfg.pilot_len
             i = 0
             for m in range(cfg.n_clusters):
                 normalizer = 1.0 + tau * float(cfg.beta(m) @ p.p[m])
                 for k in range(cfg.users_per_cluster[m]):
-                    d = sinr_terms(cfg, rho, q, m, k)
-                    expected = (d.im1 + d.im2 + d.im3 + 1.0) * normalizer
+                    expected = (im1[i] + im2[i] + im3[i] + 1.0) * normalizer
                     assert args2[i] == pytest.approx(expected, rel=1e-9)
                     assert args2[i] > 0.0
                     i += 1
@@ -121,13 +136,13 @@ class TestCoefficients:
         p, q = random_powers(cfg, rng)
         rho = compute_rho(cfg, p)
         args1, _ = uplink_arguments(cfg, q, p)
+        kappa, im1, im2, im3 = _user_terms(cfg, rho.flat(), q.flat())[:4]
         tau = cfg.pilot_len
         i = 0
         for m in range(cfg.n_clusters):
             normalizer = 1.0 + tau * float(cfg.beta(m) @ p.p[m])
             for k in range(cfg.users_per_cluster[m]):
-                d = sinr_terms(cfg, rho, q, m, k)
-                expected = (d.kappa + d.im1 + d.im2 + d.im3 + 1.0) * normalizer
+                expected = (kappa[i] + im1[i] + im2[i] + im3[i] + 1.0) * normalizer
                 assert args1[i] == pytest.approx(expected, rel=1e-9)
                 i += 1
 
@@ -138,18 +153,14 @@ class TestObjectives:
         cfg = scenario(9, m=2, k=2)
         p, q = random_powers(cfg, rng)
         rho = compute_rho(cfg, p)
-        value, _ = uplink_objective(cfg, q, p)
-        direct = sum(
-            legit_rate(cfg, rho, q, m, k)
-            for m in range(2)
-            for k in range(2)
-        )
+        value, _ = _objective(cfg, uplink_forms(cfg, q), p.flat(), 0.0)
+        direct = float(_flat_rates(cfg, rho.flat(), q.flat())[0].sum())
         assert value == pytest.approx(direct, rel=1e-11)
 
     def test_uplink_zero_power_zero_value(self):
         cfg = scenario(10, m=2, k=2)
         _, q = random_powers(cfg, np.random.default_rng(11))
-        value, _ = uplink_objective(cfg, q, UplinkPower.full(cfg, 0.0))
+        value, _ = _objective(cfg, uplink_forms(cfg, q), np.zeros(cfg.total_users), 0.0)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_downlink_value_is_secrecy_sum(self):
@@ -157,12 +168,9 @@ class TestObjectives:
         cfg = scenario(13, m=3, k=2)
         p, q = random_powers(cfg, rng)
         rho = compute_rho(cfg, p)
-        value, _ = downlink_objective(cfg, rho, q)
-        direct = sum(
-            legit_rate(cfg, rho, q, m, k) - eaves_rate(cfg, q, m, k)
-            for m in range(3)
-            for k in range(2)
-        )
+        value, _ = _objective(cfg, downlink_forms(cfg, rho), q.flat(), 0.0)
+        legit, eaves = _flat_rates(cfg, rho.flat(), q.flat())
+        direct = float((legit - eaves).sum())
         assert value == pytest.approx(direct, rel=1e-11)
         assert value == pytest.approx(smooth_secrecy_sum(cfg, p, q), rel=1e-11)
 
@@ -170,7 +178,7 @@ class TestObjectives:
         cfg = scenario(14, m=2, k=2)
         p, _ = random_powers(cfg, np.random.default_rng(15))
         rho = compute_rho(cfg, p)
-        value, _ = downlink_objective(cfg, rho, DownlinkPower.zeros(cfg))
+        value, _ = _objective(cfg, downlink_forms(cfg, rho), DownlinkPower.zeros(cfg).flat(), 0.0)
         assert value == 0.0
 
     def test_downlink_without_eavesdropper_is_rate_sum(self):
@@ -179,10 +187,8 @@ class TestObjectives:
         cfg = make_cfg([cfg.beta(m) for m in range(2)], eav_gain=0.0)
         p, q = random_powers(cfg, rng)
         rho = compute_rho(cfg, p)
-        value, _ = downlink_objective(cfg, rho, q)
-        direct = sum(
-            legit_rate(cfg, rho, q, m, k) for m in range(2) for k in range(2)
-        )
+        value, _ = _objective(cfg, downlink_forms(cfg, rho), q.flat(), 0.0)
+        direct = float(_flat_rates(cfg, rho.flat(), q.flat())[0].sum())
         assert value == pytest.approx(direct, rel=1e-11)
 
     @pytest.mark.parametrize("penalty", [0.0, 0.35])
@@ -193,22 +199,18 @@ class TestObjectives:
             p, q = random_powers(cfg, rng)
             rho = compute_rho(cfg, p)
 
-            def up(x):
-                return uplink_objective(
-                    cfg, q, UplinkPower.from_flat(cfg, x), penalty=penalty
-                )[0]
-
-            _, grad = uplink_objective(cfg, q, p, penalty=penalty)
-            fd = finite_difference_gradient(up, p.flat())
+            up_forms = uplink_forms(cfg, q)
+            _, grad = _objective(cfg, up_forms, p.flat(), penalty)
+            fd = finite_difference_gradient(
+                lambda x: _objective(cfg, up_forms, x, penalty)[0], p.flat()
+            )
             assert np.linalg.norm(grad - fd) / np.linalg.norm(grad) < 1e-5
 
-            def down(x):
-                return downlink_objective(
-                    cfg, rho, DownlinkPower.from_flat(cfg, x), penalty=penalty
-                )[0]
-
-            _, grad_q = downlink_objective(cfg, rho, q, penalty=penalty)
-            fd_q = finite_difference_gradient(down, q.flat())
+            down_forms = downlink_forms(cfg, rho)
+            _, grad_q = _objective(cfg, down_forms, q.flat(), penalty)
+            fd_q = finite_difference_gradient(
+                lambda x: _objective(cfg, down_forms, x, penalty)[0], q.flat()
+            )
             assert np.linalg.norm(grad_q - fd_q) / np.linalg.norm(grad_q) < 1e-5
 
 
@@ -218,9 +220,10 @@ class TestDcSteps:
         cfg = scenario(21, m=2, k=2)
         for _ in range(10):
             p, q = random_powers(cfg, rng)
-            before, _ = uplink_objective(cfg, q, p)
-            p_next = uplink_dc_step(cfg, q, p, p_max=1.0)
-            after, _ = uplink_objective(cfg, q, p_next)
+            stage = _uplink_stage(cfg, q, 1.0)
+            before, _ = _objective(cfg, stage.forms, p.flat(), 0.0)
+            p_next = dc_step(cfg, stage, p)
+            after, _ = _objective(cfg, stage.forms, p_next.flat(), 0.0)
             assert after >= before - 1e-9
 
     def test_downlink_step_monotone(self):
@@ -228,10 +231,10 @@ class TestDcSteps:
         cfg = scenario(23, m=2, k=2)
         for _ in range(10):
             p, q = random_powers(cfg, rng, q_scale=3.0)
-            rho = compute_rho(cfg, p)
-            before, _ = downlink_objective(cfg, rho, q)
-            q_next = downlink_dc_step(cfg, rho, q, q_max=100.0)
-            after, _ = downlink_objective(cfg, rho, q_next)
+            stage = _downlink_stage(cfg, compute_rho(cfg, p), 100.0)
+            before, _ = _objective(cfg, stage.forms, q.flat(), 0.0)
+            q_next = dc_step(cfg, stage, q)
+            after, _ = _objective(cfg, stage.forms, q_next.flat(), 0.0)
             assert after >= before - 1e-9
             assert q_next.total() <= 100.0 + 1e-9
 
@@ -251,12 +254,13 @@ class TestDcSteps:
         cfg = scenario(24, m=2, k=2)
         p, q = baseline_fixed(cfg, 1.0, 50.0)
         opts = SolveOptions(kernel_tol=1e-10, kernel_max_iter=3000)
+        stage = _uplink_stage(cfg, q, 1.0)
         for _ in range(40):
-            p_new = uplink_dc_step(cfg, q, p, p_max=1.0, options=opts)
+            p_new = dc_step(cfg, stage, p, opts)
             if np.linalg.norm(p_new.flat() - p.flat()) < 1e-12:
                 break
             p = p_new
-        p_again = uplink_dc_step(cfg, q, p, p_max=1.0, options=opts)
+        p_again = dc_step(cfg, stage, p, opts)
         assert np.linalg.norm(p_again.flat() - p.flat()) < 1e-6
 
     def test_uplink_separable_across_clusters(self):
@@ -268,20 +272,21 @@ class TestDcSteps:
         _, q = baseline_fixed(cfg, 1.0, 50.0)
         opts = SolveOptions(kernel_tol=1e-9, kernel_max_iter=2000)
         rng = np.random.default_rng(99)
+        stage = _uplink_stage(cfg, q, 1.0)
 
         def run_dc(p_start):
             p_cur = p_start
             prev = -np.inf
             for _ in range(60):
-                p_cur = uplink_dc_step(cfg, q, p_cur, p_max=1.0, options=opts)
-                value, _ = uplink_objective(cfg, q, p_cur)
+                p_cur = dc_step(cfg, stage, p_cur, opts)
+                value, _ = _objective(cfg, stage.forms, p_cur.flat(), 0.0)
                 if value - prev < 1e-10:
                     break
                 prev = value
             return p_cur
 
         joint = run_dc(UplinkPower.full(cfg, 1.0))
-        joint_value, _ = uplink_objective(cfg, q, joint)
+        joint_value, _ = _objective(cfg, stage.forms, joint.flat(), 0.0)
 
         assembled = joint.flat().copy()
         for m in range(2):
@@ -289,13 +294,13 @@ class TestDcSteps:
             rows[m] = np.full(2, 1.0)
             sub = run_dc(UplinkPower(tuple(rows)))
             assembled[2 * m : 2 * m + 2] = sub.flat()[2 * m : 2 * m + 2]
-        av, _ = uplink_objective(cfg, q, UplinkPower.from_flat(cfg, assembled))
+        av, _ = _objective(cfg, stage.forms, assembled, 0.0)
         assert abs(av - joint_value) < 1e-8
 
 
 class TestStageLoopMatchesOneStep:
-    """The solvers' stage loop and the public one-step functions build the
-    same stage, so one step of either lands on the same bits."""
+    """The solvers' stage loop and one `_dc_step` on a stage built from the
+    same powers land on the same bits."""
 
     LAYOUTS = {
         "square": scenario(50, m=2, k=2, nt=32),
@@ -308,8 +313,8 @@ class TestStageLoopMatchesOneStep:
         options = SolveOptions(max_inner=1, max_outer=1)
         p0, q0 = baseline_fixed(cfg, 1.0, 10.0)
         p, q, _, _ = maximize_se(cfg, 1.0, 10.0, options)
-        p1 = uplink_dc_step(cfg, q0, p0, 1.0, options=options)
-        q1 = downlink_dc_step(cfg, compute_rho(cfg, p1), q0, 10.0, options=options)
+        p1 = dc_step(cfg, _uplink_stage(cfg, q0, 1.0), p0, options)
+        q1 = dc_step(cfg, _downlink_stage(cfg, compute_rho(cfg, p1), 10.0), q0, options)
         assert np.array_equal(p.flat(), p1.flat())
         assert np.array_equal(q.flat(), q1.flat())
 
@@ -319,10 +324,11 @@ class TestStageLoopMatchesOneStep:
         options = SolveOptions(max_inner=1)
         p0, q0 = baseline_fixed(cfg, 1.0, 10.0)
         p, q, _, _ = baseline_uplink_se(cfg, 1.0, 10.0, options)
-        assert np.array_equal(p.flat(), uplink_dc_step(cfg, q0, p0, 1.0, options=options).flat())
+        p1 = dc_step(cfg, _uplink_stage(cfg, q0, 1.0), p0, options)
+        assert np.array_equal(p.flat(), p1.flat())
         assert np.array_equal(q.flat(), q0.flat())
         p, q, _, _ = baseline_downlink_se(cfg, 1.0, 10.0, options)
-        q1 = downlink_dc_step(cfg, compute_rho(cfg, p0), q0, 10.0, options=options)
+        q1 = dc_step(cfg, _downlink_stage(cfg, compute_rho(cfg, p0), 10.0), q0, options)
         assert np.array_equal(p.flat(), p0.flat())
         assert np.array_equal(q.flat(), q1.flat())
 

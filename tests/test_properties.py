@@ -30,14 +30,16 @@ from noma_secrecy.montecarlo import (
     _chunk_loop,
     _estimate,
     _rate_samples,
-    ergodic_rate_oracle,
     error_decomposition_check,
-    moment_suite,
+    reduce_moments,
+    reduce_rates,
     simulate_trials,
 )
 from noma_secrecy.optimize import (
     LogAffine,
     SolveOptions,
+    SolverTrace,
+    _dc_step,
     _downlink_coeffs,
     _downlink_forms,
     _downlink_stage,
@@ -46,13 +48,12 @@ from noma_secrecy.optimize import (
     _uplink_coeffs,
     _uplink_forms,
     _uplink_stage,
+    baseline_downlink_se,
     baseline_fixed,
     baseline_uplink_se,
-    downlink_dc_step,
     maximize_ee,
     maximize_se,
     smooth_secrecy_sum,
-    uplink_dc_step,
 )
 from noma_secrecy.projgrad import (
     Box,
@@ -63,12 +64,11 @@ from noma_secrecy.projgrad import (
     project,
 )
 from noma_secrecy.rates import (
+    _flat_rates,
+    _user_terms,
     chi_mean,
-    eaves_rate,
-    legit_rate,
     oma_report,
     secrecy_report,
-    sinr_terms,
 )
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
@@ -146,15 +146,18 @@ def test_report_matches_per_user_transcription(instance, exact_gain, silence_som
     report = secrecy_report(cfg, p, q, exact_gain=exact_gain)
     legit, eaves = transcribed_rates(cfg, p, q, exact_gain)
     rho = compute_rho(cfg, p)
+    legit_flat, eaves_flat = _flat_rates(cfg, rho.flat(), q.flat(), exact_gain)
+    kappa, im1, im2, im3 = _user_terms(cfg, rho.flat(), q.flat(), exact_gain)[:4]
     for m in range(cfg.n_clusters):
         np.testing.assert_allclose(report.legit[m], legit[m], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(report.eaves[m], eaves[m], rtol=1e-12, atol=0.0)
         for k in range(cfg.users_per_cluster[m]):
-            # The scalar views read the same evaluator.
-            assert legit_rate(cfg, rho, q, m, k, exact_gain) == report.legit[m][k]
-            assert eaves_rate(cfg, q, m, k) == report.eaves[m][k]
-            terms = sinr_terms(cfg, rho, q, m, k, exact_gain)
-            rate = cfg.overhead * math.log2(1.0 + terms.sinr)
+            # The flat rates and the SINR terms read the same evaluator.
+            u = int(cfg.user_offsets[m]) + k
+            assert legit_flat[u] == report.legit[m][k]
+            assert eaves_flat[u] == report.eaves[m][k]
+            sinr = kappa[u] / (im1[u] + im2[u] + im3[u] + 1.0)
+            rate = cfg.overhead * math.log2(1.0 + sinr)
             assert math.isclose(rate, report.legit[m][k], rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -273,14 +276,29 @@ def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
     def stage(p, q):
         return smooth_secrecy_sum(cfg, p, q) - penalty * (p.total() + q.total())
 
+    options, trace = SolveOptions(), SolverTrace()
     before = stage(p, q)
-    p_next = uplink_dc_step(cfg, q, p, p_max=1.0, penalty=penalty)
+    up = _uplink_stage(cfg, q, 1.0, penalty)
+    p_next = UplinkPower.from_flat(cfg, _dc_step(cfg, up, p.flat(), options, trace))
     after_up = stage(p_next, q)
     assert after_up >= before - 1e-9
 
-    q_next = downlink_dc_step(cfg, compute_rho(cfg, p_next), q, q_max=100.0, penalty=penalty)
+    down = _downlink_stage(cfg, compute_rho(cfg, p_next), 100.0, penalty)
+    q_next = DownlinkPower.from_flat(cfg, _dc_step(cfg, down, q.flat(), options, trace))
     assert stage(p_next, q_next) >= after_up - 1e-9
     assert q_next.total() <= 100.0 + 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(instances(), st.sampled_from([0.5, 1.0]), st.sampled_from([1.0, 10.0, 100.0]))
+def test_se_solvers_ascend_and_stay_feasible(instance, p_max, q_max):
+    cfg, _, _, _ = instance
+    for solve in (maximize_se, baseline_uplink_se, baseline_downlink_se):
+        p, q, _, trace = solve(cfg, p_max, q_max)
+        for values in [trace.outer_values, *trace.step_values]:
+            assert all(b >= a - 1e-9 for a, b in zip(values, values[1:])), (solve, values)
+        assert np.all(p.flat() >= 0.0) and np.all(p.flat() <= p_max + 1e-12)
+        assert np.all(q.flat() >= 0.0) and q.total() <= q_max + 1e-9
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -385,12 +403,13 @@ def test_validate_rows_equal_standalone_oracles(instance, n_trials, q_max_db):
 
     cfg = build_config(spec)
     p, q = baseline_fixed(cfg, db_to_linear(0.0), db_to_linear(q_max_db), 0.2)
+    tables = simulate_trials(cfg, p, n_trials, spec.seed)
     expected = [
         ("moment", s.name, _fmt(s.cluster + 1), _fmt(None if s.user is None else s.user + 1))
         + (_fmt(s.empirical), _fmt(s.stderr))
-        for s in moment_suite(cfg, p, q, n_trials, spec.seed)
+        for s in reduce_moments(cfg, p, q, tables)
     ]
-    oracle = ergodic_rate_oracle(cfg, p, q, n_trials, spec.seed)
+    oracle = reduce_rates(cfg, q, tables)
     for m in range(cfg.n_clusters):
         for k in range(cfg.users_per_cluster[m]):
             legit_se, eaves_se = oracle.legit_se[m][k], oracle.eaves_se[m][k]

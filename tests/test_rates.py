@@ -12,15 +12,14 @@ from noma_secrecy.model import (
     compute_rho,
 )
 from noma_secrecy.rates import (
+    _flat_rates,
+    _user_terms,
     asymptotic_high_power,
     asymptotic_large_nt,
     chi_mean,
-    eaves_rate,
     energy_efficiency,
-    legit_rate,
     oma_report,
     secrecy_report,
-    sinr_terms,
 )
 
 
@@ -49,39 +48,37 @@ class TestSinrTerms:
         cfg = make_cfg([[1.0]], n_antennas=100, pilot_len=1, coherence_len=2)
         rho = EstimationQuality((np.array([0.5]),))
         q = DownlinkPower((np.array([0.0, 1.0]),))
-        d = sinr_terms(cfg, rho, q, 0, 0)
-        assert d.kappa == pytest.approx(50.0, rel=1e-13)
-        assert d.im1 == pytest.approx(0.5, rel=1e-13)
-        assert d.im2 == 0.0
-        assert d.im3 == 0.0
+        kappa, im1, im2, im3 = _user_terms(cfg, rho.flat(), q.flat())[:4]
+        assert kappa[0] == pytest.approx(50.0, rel=1e-13)
+        assert im1[0] == pytest.approx(0.5, rel=1e-13)
+        assert im2[0] == 0.0
+        assert im3[0] == 0.0
 
     def test_zero_desired_power(self):
         cfg = make_cfg([[2.0, 1.0]], pilot_len=1)
         rho = EstimationQuality((np.array([0.4, 0.2]),))
         q = DownlinkPower((np.array([1.0, 0.0, 3.0]),))
-        d = sinr_terms(cfg, rho, q, 0, 0)
-        assert d.kappa == 0.0 and d.im1 == 0.0
+        kappa, im1 = _user_terms(cfg, rho.flat(), q.flat())[:2]
+        assert kappa[0] == 0.0 and im1[0] == 0.0
 
     def test_perfect_estimation_kills_leakage(self):
         cfg = make_cfg([[2.0, 1.0]], pilot_len=1)
         rho = EstimationQuality((np.array([1.0 - 1e-15, 0.3]),))
         q = DownlinkPower((np.array([5.0, 2.0, 1.0]),))
-        d = sinr_terms(cfg, rho, q, 0, 0)
-        assert d.im1 == pytest.approx(0.0, abs=1e-12)
+        _, im1, im2 = _user_terms(cfg, rho.flat(), q.flat())[:3]
+        assert im1[0] == pytest.approx(0.0, abs=1e-12)
         # the AN-leakage share of im2 vanishes with rho -> 1
-        d2 = sinr_terms(cfg, rho, q, 0, 1)
-        assert d2.im2 > 0.0  # weaker user still sees the stronger one's power
+        assert im2[1] > 0.0  # weaker user still sees the stronger one's power
 
     def test_intra_cluster_interference_only_from_stronger(self):
         cfg = make_cfg([[3.0, 2.0, 1.0]], pilot_len=1, eav_gain=1.0)
         rho = EstimationQuality((np.array([0.5, 0.3, 0.2]),))
         q = DownlinkPower((np.array([0.0, 4.0, 2.0, 1.0]),))
-        d0 = sinr_terms(cfg, rho, q, 0, 0)
-        assert d0.im2 == 0.0  # strongest user cancels everyone
-        d2 = sinr_terms(cfg, rho, q, 0, 2)
+        im2 = _user_terms(cfg, rho.flat(), q.flat())[2]
+        assert im2[0] == 0.0  # strongest user cancels everyone
         nt = cfg.n_antennas
         expected = 1.0 * (4.0 + 2.0) * (0.2 * nt + 0.8)
-        assert d2.im2 == pytest.approx(expected, rel=1e-12)
+        assert im2[2] == pytest.approx(expected, rel=1e-12)
 
     def test_one_cluster_sees_no_inter_cluster_power(self):
         # Two summation orders of 0.1 + 0.2 + 0.3 differ in the last bit;
@@ -89,11 +86,11 @@ class TestSinrTerms:
         cfg = make_cfg([[5.0, 4.0]], pilot_len=1)
         rho = EstimationQuality((np.array([0.5, 0.3]),))
         q = DownlinkPower((np.array([0.1, 0.2, 0.3]),))
-        assert [sinr_terms(cfg, rho, q, 0, k).im3 for k in (0, 1)] == [0.0, 0.0]
+        assert _user_terms(cfg, rho.flat(), q.flat())[3].tolist() == [0.0, 0.0]
         rng = np.random.default_rng(0)
         for _ in range(200):
             q = DownlinkPower((rng.uniform(0.0, 10.0, 3),))
-            assert sinr_terms(cfg, rho, q, 0, 1).im3 == 0.0
+            assert _user_terms(cfg, rho.flat(), q.flat())[3][1] == 0.0
 
     def test_exact_gain_consistency(self):
         # kappa + im1 is the full received desired power, identical under
@@ -101,14 +98,14 @@ class TestSinrTerms:
         cfg = make_cfg([[2.0]], n_antennas=16, pilot_len=1)
         rho = EstimationQuality((np.array([0.6]),))
         q = DownlinkPower((np.array([1.0, 2.0]),))
-        approx = sinr_terms(cfg, rho, q, 0, 0)
-        exact = sinr_terms(cfg, rho, q, 0, 0, exact_gain=True)
-        assert exact.kappa < approx.kappa  # chi-mean^2 < N_t
-        assert exact.kappa + exact.im1 == pytest.approx(
-            approx.kappa + approx.im1, rel=1e-12
+        approx_kappa, approx_im1 = _user_terms(cfg, rho.flat(), q.flat())[:2]
+        exact_kappa, exact_im1 = _user_terms(cfg, rho.flat(), q.flat(), exact_gain=True)[:2]
+        assert exact_kappa[0] < approx_kappa[0]  # chi-mean^2 < N_t
+        assert exact_kappa[0] + exact_im1[0] == pytest.approx(
+            approx_kappa[0] + approx_im1[0], rel=1e-12
         )
         gain = chi_mean(16) ** 2
-        assert exact.kappa == pytest.approx(2.0 * 2.0 * 0.6 * gain, rel=1e-12)
+        assert exact_kappa[0] == pytest.approx(2.0 * 2.0 * 0.6 * gain, rel=1e-12)
 
 
 class TestLegitRate:
@@ -117,21 +114,23 @@ class TestLegitRate:
         rho = EstimationQuality((np.array([0.5]),))
         q = DownlinkPower((np.array([0.0, 1.0]),))
         expected = 0.5 * math.log2(1.0 + 50.0 / 1.5)
-        assert legit_rate(cfg, rho, q, 0, 0) == pytest.approx(expected, rel=1e-12)
+        legit = _flat_rates(cfg, rho.flat(), q.flat())[0]
+        assert legit[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_downlink_power_gives_zero(self):
         cfg = make_cfg([[2.0, 1.0]], pilot_len=1)
         rho = EstimationQuality((np.array([0.4, 0.2]),))
         q = DownlinkPower((np.zeros(3),))
-        assert legit_rate(cfg, rho, q, 0, 0) == 0.0
-        assert legit_rate(cfg, rho, q, 0, 1) == 0.0
+        assert _flat_rates(cfg, rho.flat(), q.flat())[0].tolist() == [0.0, 0.0]
 
     def test_more_inter_cluster_interference_lowers_rate(self):
         cfg = make_cfg([[2.0], [1.0]], pilot_len=2)
         rho = EstimationQuality((np.array([0.5]), np.array([0.5])))
         q1 = DownlinkPower((np.array([0.0, 1.0]), np.array([0.0, 1.0])))
         q2 = DownlinkPower((np.array([0.0, 1.0]), np.array([0.0, 2.0])))
-        assert legit_rate(cfg, rho, q2, 0, 0) < legit_rate(cfg, rho, q1, 0, 0)
+        legit1 = _flat_rates(cfg, rho.flat(), q1.flat())[0]
+        legit2 = _flat_rates(cfg, rho.flat(), q2.flat())[0]
+        assert legit2[0] < legit1[0]
 
     def test_nondecreasing_in_antennas_randomized(self):
         # Empirical probe: the average SINR is a ratio of terms linear in
@@ -146,7 +145,7 @@ class TestLegitRate:
                 cfg_nt = make_cfg(
                     [cfg.beta(m) for m in range(2)], n_antennas=nt, eav_gain=10.0
                 )
-                rates.append(legit_rate(cfg_nt, rho, q, 0, 1))
+                rates.append(_flat_rates(cfg_nt, rho.flat(), q.flat())[0][1])
             assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
@@ -157,19 +156,19 @@ class TestEavesRate:
         cfg = make_cfg([[2.0, 1.0]], pilot_len=1, coherence_len=2, eav_gain=1.0)
         q = DownlinkPower((np.array([2.0, 4.0, 2.0]),))
         expected = 0.5 * math.log2(1.0 + 4.0 / 5.0)
-        assert eaves_rate(cfg, q, 0, 0) == pytest.approx(expected, rel=1e-12)
+        eaves = _flat_rates(cfg, np.zeros(2), q.flat())[1]
+        assert eaves[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.4240, abs=5e-5)
 
     def test_zero_power_zero_rate(self):
         cfg = make_cfg([[2.0]], pilot_len=1, eav_gain=5.0)
         q = DownlinkPower((np.array([1.0, 0.0]),))
-        assert eaves_rate(cfg, q, 0, 0) == 0.0
+        assert _flat_rates(cfg, np.zeros(1), q.flat())[1][0] == 0.0
 
     def test_distant_eavesdropper(self):
         cfg = make_cfg([[2.0, 1.0]], pilot_len=1, eav_gain=0.0)
         q = DownlinkPower((np.array([1.0, 2.0, 1.0]),))
-        assert eaves_rate(cfg, q, 0, 0) == 0.0
-        assert eaves_rate(cfg, q, 0, 1) == 0.0
+        assert _flat_rates(cfg, np.zeros(2), q.flat())[1].tolist() == [0.0, 0.0]
 
     def test_independent_of_antenna_count(self):
         rng = np.random.default_rng(5)
@@ -177,7 +176,7 @@ class TestEavesRate:
         values = []
         for nt in (8, 64, 512):
             cfg = make_cfg([cfg8.beta(m) for m in range(2)], n_antennas=nt)
-            values.append([eaves_rate(cfg, q, m, k) for m in range(2) for k in range(2)])
+            values.append(_flat_rates(cfg, np.zeros(4), q.flat())[1].tolist())
         assert values[0] == values[1] == values[2]
 
     def test_cancellation_advantage_of_strongest_user(self):
@@ -189,9 +188,11 @@ class TestEavesRate:
         rho = EstimationQuality((np.array([0.5, 0.3, 0.2]),))
         q_small = DownlinkPower((np.array([0.0, 4.0, 0.1, 0.1]),))
         q_large = DownlinkPower((np.array([0.0, 4.0, 3.0, 3.0]),))
-        assert sinr_terms(cfg, rho, q_small, 0, 0).im2 == 0.0
-        assert sinr_terms(cfg, rho, q_large, 0, 0).im2 == 0.0
-        assert eaves_rate(cfg, q_large, 0, 0) < eaves_rate(cfg, q_small, 0, 0)
+        assert _user_terms(cfg, rho.flat(), q_small.flat())[2][0] == 0.0
+        assert _user_terms(cfg, rho.flat(), q_large.flat())[2][0] == 0.0
+        eaves_small = _flat_rates(cfg, rho.flat(), q_small.flat())[1]
+        eaves_large = _flat_rates(cfg, rho.flat(), q_large.flat())[1]
+        assert eaves_large[0] < eaves_small[0]
 
 
 class TestSecrecyReport:
@@ -218,11 +219,12 @@ class TestSecrecyReport:
         cfg, p, q = random_instance(rng, m=3, k=2)
         rho = compute_rho(cfg, p)
         report = secrecy_report(cfg, p, q)
+        legit_flat, eaves_flat = _flat_rates(cfg, rho.flat(), q.flat())
         total = 0.0
         for m in range(3):
             for k in range(2):
-                legit = legit_rate(cfg, rho, q, m, k)
-                eaves = eaves_rate(cfg, q, m, k)
+                u = int(cfg.user_offsets[m]) + k
+                legit, eaves = float(legit_flat[u]), float(eaves_flat[u])
                 assert report.legit[m][k] == legit
                 assert report.eaves[m][k] == eaves
                 assert report.secrecy[m][k] == max(legit - eaves, 0.0)
@@ -265,7 +267,7 @@ class TestLargeAntennaAsymptote:
                 pilot_len=2,
                 eav_gain=1.0,
             )
-            rate = legit_rate(cfg, rho, q, 0, 1)
+            rate = _flat_rates(cfg, rho.flat(), q.flat())[0][1]
             assert rate < limit
             gaps.append(limit - rate)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
