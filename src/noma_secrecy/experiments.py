@@ -12,8 +12,12 @@ point's value (an integer on the two integer axes; on users_per_cluster
 the drawn gain pool is cut into clusters of the new size). Every point,
 like every other command, goes from spec to configuration and budgets
 through one path, and every allocation it evaluates is written by one
-row builder. The `proposed` solve at a point takes its first uplink stage
-from the `uplink` baseline, which solves that same stage.
+row builder. Every point's fixed split is built and checked before any
+point is solved, as `optimize` checks its own before its solve: a spec
+whose gains or powers are out of range fails naming a column, before a
+solver meets the overflow. The `proposed` solve at a point takes its
+first uplink stage from the `uplink` baseline, which solves that same
+stage.
 
 The points of a sweep run on every available CPU, at most one process
 per point: they are dealt to the workers in snake order, so that points
@@ -53,7 +57,7 @@ from .optimize import (
     maximize_se,
     optimize_oma_tdma,
 )
-from .rates import secrecy_report
+from .rates import _eaves_rates, _legit_rates, secrecy_report
 
 __all__ = [
     "ExperimentSpec",
@@ -398,20 +402,29 @@ def _companion(path: str, suffix: str) -> str:
     return "%s_%s%s" % (stem, suffix, ext or ".csv")
 
 
+def _non_finite(column: str, what: str) -> ValueError:
+    return ValueError(
+        "non-finite %s (%s) in the results: the spec's gains or powers are out of range"
+        % (column, what)
+    )
+
+
+def _check_finite(header: list[str], rows: list[list]) -> None:
+    """ValueError naming the column of the first non-finite number in
+    rows: rates and powers overflow to inf or nan when gains or powers
+    are far out of range, and such a row must not pass for a result."""
+    for row in rows:
+        for column, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _non_finite(column, _fmt(value))
+
+
 def _write_tables(out: str, tables) -> list[str]:
     """Write each (suffix, header, rows) table to `out` (suffix None) or
-    to its companion file. A non-finite number in any cell raises
-    ValueError naming its column before any file is opened: rates and
-    powers overflow to inf or nan when gains or powers are far out of
-    range, and such a file must not pass for a result."""
+    to its companion file, after `_check_finite` has passed every table:
+    a non-finite cell raises before any file is opened."""
     for _, header, rows in tables:
-        for row in rows:
-            for column, value in zip(header, row):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(
-                        "non-finite %s (%s) in the results: the spec's gains or powers "
-                        "are out of range" % (column, _fmt(value))
-                    )
+        _check_finite(header, rows)
     return [
         _write_csv(out if suffix is None else _companion(out, suffix), header, rows)
         for suffix, header, rows in tables
@@ -462,14 +475,41 @@ def _allocation_rows(
     return users, head + [allocator, se, ee, uplink, downlink, an, converged, rounds, lam]
 
 
-def run_rates(spec: ExperimentSpec, out: str) -> list[str]:
-    """Closed-form per-user rates under the fixed power split."""
-    cfg, p_max, q_max, circuit = _point(spec)
+def _fixed_rows(head: list, spec: ExperimentSpec, cfg: SystemConfig, p_max, q_max, circuit):
+    """The (user rows, summary row) of the fixed power split, after
+    `_check_finite` has passed them. The solving commands build these
+    before their first solve, so a spec whose gains or powers are out of
+    range fails with the column it breaks, not inside a solver.
+
+    A rate column whose computation overflows, or meets an invalid
+    value, raises too: an interference power that overflows to inf
+    drives a rate to a finite but wrong 0, and the solvers' log
+    arguments overflow with it."""
     p, q = baseline_fixed(cfg, p_max, q_max, spec.an_fraction)
-    head = [spec.scenario, "rates", "", ""]
+    rho, q_flat = compute_rho(cfg, p).flat(), q.flat()
+    views = cfg.user_powers(q_flat)
+    for column, rates in (
+        ("legit", lambda: _legit_rates(cfg, rho, views)),
+        ("eaves", lambda: _eaves_rates(cfg, q_flat, views[0])),
+    ):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                rates()
+        except FloatingPointError as exc:
+            raise _non_finite(column, str(exc)) from None
     users, summary = _allocation_rows(
         head, cfg, "fixed", [(p, q, secrecy_report(cfg, p, q))], circuit
     )
+    _check_finite(USER_HEADER, users)
+    _check_finite(SUMMARY_HEADER, [summary])
+    return users, summary
+
+
+def run_rates(spec: ExperimentSpec, out: str) -> list[str]:
+    """Closed-form per-user rates under the fixed power split."""
+    cfg, p_max, q_max, circuit = _point(spec)
+    head = [spec.scenario, "rates", "", ""]
+    users, summary = _fixed_rows(head, spec, cfg, p_max, q_max, circuit)
     return _write_tables(out, [(None, USER_HEADER, users), ("summary", SUMMARY_HEADER, [summary])])
 
 
@@ -557,6 +597,8 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
     if mode not in ("se", "ee"):
         raise ValueError("mode must be 'se' or 'ee', got %r" % mode)
     cfg, p_max, q_max, circuit = _point(spec)
+    head = [spec.scenario, "optimize", "", ""]
+    _fixed_rows(head, spec, cfg, p_max, q_max, circuit)
     if mode == "se":
         p, q, report, trace = maximize_se(cfg, p_max, q_max)
         lam = None
@@ -567,7 +609,6 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
         report = secrecy_report(cfg, p, q)
         lam = trace.lambda_sequence[-1]
 
-    head = [spec.scenario, "optimize", "", ""]
     users, summary = _allocation_rows(
         head, cfg, "proposed_%s" % mode, [(p, q, report)], circuit,
         trace.converged, len(trace.epsilons), lam,
@@ -591,20 +632,26 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
     )
 
 
-def _sweep_point(spec: ExperimentSpec, value: float) -> list[tuple[list[list], list]]:
-    """The (user rows, summary row) of every allocator at one sweep point:
-    the spec with its sweep axis set to `value`."""
+def _sweep_start(spec: ExperimentSpec, value: float):
+    """One sweep point's (configuration, p_max, q_max, circuit power, row
+    head, fixed-split rows): the spec with its sweep axis set to `value`,
+    and its `_fixed_rows`, which raise on a point out of range."""
     axis = spec.sweep_axis
     changes = {axis: value}
     if axis == "users_per_cluster":
         changes["clusters"] = None  # cut the drawn gain pool into clusters of this size
     cfg, p_max, q_max, circuit = _point(dataclasses.replace(spec, **changes))
     head = [spec.scenario, "sweep", axis, value]
+    return cfg, p_max, q_max, circuit, head, _fixed_rows(head, spec, cfg, p_max, q_max, circuit)
+
+
+def _sweep_point(start) -> list[tuple[list[list], list]]:
+    """The (user rows, summary row) of every allocator at one sweep point,
+    from its `_sweep_start`."""
+    cfg, p_max, q_max, circuit, head, fixed = start
     options = SolveOptions()
 
-    p, q = baseline_fixed(cfg, p_max, q_max, spec.an_fraction)
-    fixed = [(p, q, secrecy_report(cfg, p, q))]
-    allocations = [_allocation_rows(head, cfg, "fixed", fixed, circuit)]
+    allocations = [fixed]
     uplink = baseline_uplink_se(cfg, p_max, q_max, options)
     downlink = baseline_downlink_se(cfg, p_max, q_max, options)
     for allocator, (p, q, report, trace) in (("uplink", uplink), ("downlink", downlink)):
@@ -633,15 +680,15 @@ def _sweep_point(spec: ExperimentSpec, value: float) -> list[tuple[list[list], l
     return allocations
 
 
-def _sweep_share(spec: ExperimentSpec, values) -> list[tuple[object, list]]:
-    """Run the sweep points `values` in order, up to the first that raises:
-    per point, its allocations (or the exception it raised) and the log
-    records it made, kept instead of handled."""
+def _sweep_share(starts) -> list[tuple[object, list]]:
+    """Run the sweep points of `starts` in order, up to the first that
+    raises: per point, its allocations (or the exception it raised) and
+    the log records it made, kept instead of handled."""
     done = []
-    for value in values:
+    for start in starts:
         with captured(log) as records:
             try:
-                result = _sweep_point(spec, value)
+                result = _sweep_point(start)
             except Exception as exc:
                 result = exc
         done.append((result, records))
@@ -650,21 +697,20 @@ def _sweep_share(spec: ExperimentSpec, values) -> list[tuple[object, list]]:
     return done
 
 
-def _sweep_points(spec: ExperimentSpec, workers: int) -> list:
+def _sweep_points(starts, workers: int) -> list:
     """The allocations of every sweep point, in axis order. With several
     workers, the points are dealt in snake order (`deal`), each worker's
     share runs in its own process (`run_shares`), and the points' log
     records are handed on in axis order once all have run: the logger's
     handlers get what one process would give them. The first point that
     fails in axis order raises its exception, as in one process."""
-    values = spec.sweep_values
     if workers == 1:
-        return [_sweep_point(spec, value) for value in values]
-    shares = deal(len(values), workers)
-    results = run_shares(lambda share: _sweep_share(spec, [values[i] for i in share]), shares)
+        return [_sweep_point(start) for start in starts]
+    shares = deal(len(starts), workers)
+    results = run_shares(lambda share: _sweep_share([starts[i] for i in share]), shares)
     ran = {i: point for share, done in zip(shares, results) for i, point in zip(share, done)}
     points = []
-    for i in range(len(values)):
+    for i in range(len(starts)):
         result, records = ran[i]  # a point that did not run follows a failed one
         for record in records:
             log.callHandlers(record)
@@ -680,10 +726,12 @@ def run_sweep(spec: ExperimentSpec, out: str) -> list[str]:
     same bytes as one process's, in axis order."""
     if spec.sweep_axis is None:
         raise ValueError("the spec has no sweep section")
+    # Every point's fixed split passes its checks before any point is solved.
+    starts = [_sweep_start(spec, value) for value in spec.sweep_values]
     debug = log.isEnabledFor(logging.DEBUG)
     t0 = perf_counter() if debug else 0.0
-    workers = min(available_cpus(), len(spec.sweep_values))
-    allocations = [a for point in _sweep_points(spec, workers) for a in point]
+    workers = min(available_cpus(), len(starts))
+    allocations = [a for point in _sweep_points(starts, workers) for a in point]
     if debug:
         log.debug(
             "sweep: %d points, %d worker processes, %.3g s",

@@ -176,7 +176,7 @@ class SystemConfig:
         # The other clusters' power from the per-cluster totals alone, so
         # that it is exactly zero on a one-cluster layout.
         totals = np.add.reduceat(q_flat, self.slot_offsets)
-        return own, an, self.stronger_sums(own), (totals.sum() - totals)[self.cluster_of]
+        return own, an, self.stronger_sums(own), (np.add.reduce(totals) - totals)[self.cluster_of]
 
     @cached_property
     def slot_indicators(self) -> tuple[np.ndarray, ...]:
@@ -228,7 +228,7 @@ def _check(sizes, rules) -> None:
     """Raise ValueError for the first broken rule, naming the cluster of its
     first bad entry; a rule is (mask of the valid entries, message)."""
     for ok, message in rules:
-        if not ok.all():
+        if not np.logical_and.reduce(ok):
             raise ValueError(message % np.searchsorted(np.cumsum(sizes), ok.argmin(), "right"))
 
 
@@ -274,7 +274,7 @@ class _FlatRows:
 
     def total(self) -> float:
         """Row sums added in cluster order, which the output bytes rely on."""
-        return float(sum(r.sum() for r in getattr(self, self._field)))
+        return float(sum(map(np.add.reduce, getattr(self, self._field))))
 
 
 @dataclass(frozen=True)

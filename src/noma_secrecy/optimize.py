@@ -40,7 +40,9 @@ checks that. One stage loop, `_dc_stage`, serves the SE solver, each
 Dinkelbach round of the EE solver and both baselines. Each DC step's
 surrogate keeps the log arguments A x + b of the point it evaluated
 last, and its Hessian oracle reuses them when the kernel asks for the
-Hessian at that point.
+Hessian at that point. A DC step starts where the last one ended, so it
+takes the concave half's arguments, value and gradient there from the
+last step instead of computing them again.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class LogAffine:
     def _arguments(self, x: np.ndarray) -> np.ndarray:
         """The log arguments A x + b."""
         args = self.A @ x + self.b
-        if (args <= 0.0).any():
+        if np.minimum.reduce(args) <= 0.0:
             # Cannot happen for nonnegative powers (every argument is an
             # interference-plus-noise power, in the uplink times the pilot
             # normalizer, so positive); guard against stray inputs.
@@ -236,10 +238,11 @@ class SolverTrace:
     the downlink- and uplink-stage objectives (sign included);
     lambda_sequence is filled by the energy-efficiency loop only.
     kernel_stops counts the kernel calls of every DC step by stop reason
-    ("stationary", "floor" or "cap"; see `SolveResult`), kernel_fallbacks
-    their iterations whose projected Newton trial fell back to the
-    gradient step, and stage_caps the DC stages that ran max_inner steps
-    while still gaining at least inner_tol per step.
+    ("stationary", "floor" or "cap"; see `SolveResult`), kernel_iterations
+    sums their iterations, kernel_fallbacks counts the iterations whose
+    projected Newton trial fell back to the gradient step, and stage_caps
+    the DC stages that ran max_inner steps while still gaining at least
+    inner_tol per step.
     """
 
     outer_values: list[float] = field(default_factory=list)
@@ -247,6 +250,7 @@ class SolverTrace:
     epsilons: list[float] = field(default_factory=list)
     lambda_sequence: list[float] = field(default_factory=list)
     kernel_stops: Counter[str] = field(default_factory=Counter)
+    kernel_iterations: int = 0
     kernel_fallbacks: int = 0
     stage_caps: int = 0
     converged: bool = False
@@ -268,7 +272,7 @@ class _Stage(NamedTuple):
 def _penalized(gaps: np.ndarray, lam: float, p_total: float, q_total: float, circuit_power):
     """`_stage_objective` from the per-user rate gaps legit - eaves and the
     power totals."""
-    value = float(gaps.sum())
+    value = float(np.add.reduce(gaps))
     if lam != 0.0:
         value -= lam * (p_total + q_total + circuit_power)
     return value
@@ -314,56 +318,71 @@ def _downlink_stage(
     return _Stage("downlink", forms, CappedSimplex(cap=q_max), objective, lam)
 
 
-def _surrogate(cfg: SystemConfig, stage: _Stage, x_prev: np.ndarray) -> ConcaveProblem:
+def _surrogate(cfg: SystemConfig, stage: _Stage, x_prev: np.ndarray, start=None):
     """The DC step's problem at x_prev: maximize the concave surrogate
     overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
     - lam * sum x over the stage's feasible set, whose Hessian is the
-    concave half's times overhead. The surrogate keeps the log arguments
-    of the point it evaluated last, and the Hessian oracle reuses them
-    when it is handed that same array (`maximize` asks for the Hessian
-    there); a zero lam drops the price terms, since v - 0.0 is v."""
+    concave half's times overhead; a zero lam drops the price terms,
+    since v - 0.0 is v. Returns the problem and a one-item list that
+    holds its last evaluation.
+
+    Each evaluation records (x, log arguments, overhead * value,
+    overhead * gradient) of the concave half in the list. The Hessian
+    oracle reuses the log arguments when it is handed the array evaluated
+    last (`maximize` asks for the Hessian there). start, if given, is
+    that record's tail for a point equal to x_prev: the first evaluation,
+    which `maximize` makes at its copy of x_prev, then takes it instead
+    of recomputing it.
+    """
     concave, sub = stage.forms
     penalty = stage.lam
     scale = cfg.overhead
     sub_prev, sub_grad_prev = sub.evaluate(x_prev)
     lin = scale * sub_grad_prev
     const = -scale * sub_prev + float(lin @ x_prev)
-    last = (None, None)  # the point evaluated last and its log arguments
+    last = [(None, None, None, None)]
 
     def evaluate(x):
-        nonlocal last
-        args = concave._arguments(x)
-        last = (x, args)
-        value, grad = concave._evaluate_at(args)
-        value = scale * value
-        grad = scale * grad
+        nonlocal start
+        if start is None:
+            args = concave._arguments(x)
+            value, grad = concave._evaluate_at(args)
+            value = scale * value
+            grad = scale * grad
+        else:
+            (args, value, grad), start = start, None
+        last[0] = (x, args, value, grad)
         if penalty != 0.0:
-            value -= penalty * float(x.sum())
-            grad -= penalty
+            value -= penalty * float(np.add.reduce(x))
+            grad = grad - penalty  # not in place: the record keeps grad
         return value - float(lin @ x) + const, grad - lin
 
     def hessian(x):
-        args = last[1] if x is last[0] else concave._arguments(x)
+        x_last, args = last[0][:2]
+        if x is not x_last:
+            args = concave._arguments(x)
         return scale * concave._hessian_at(args)
 
-    return ConcaveProblem(
+    problem = ConcaveProblem(
         dim=x_prev.size, evaluate=evaluate, feasible_set=stage.feasible_set, hessian=hessian
     )
+    return problem, last
 
 
-def _dc_step(cfg: SystemConfig, stage: _Stage, x_prev, options, trace) -> np.ndarray:
+def _dc_step(cfg: SystemConfig, stage: _Stage, x_prev, options, trace, start=None):
     """One DC iteration of a stage from x_prev: the kernel's maximizer of
-    the `_surrogate` at x_prev. The kernel's stop reason and Newton
-    fallbacks are counted in the trace."""
-    result = maximize(
-        _surrogate(cfg, stage, x_prev),
-        x_prev,
-        tol=options.kernel_tol,
-        max_iter=options.kernel_max_iter,
-    )
+    the `_surrogate` at x_prev (start as there). The kernel's stop reason,
+    iterations and Newton fallbacks are counted in the trace. Returns the
+    maximizer and the start of the next step from it: the concave half's
+    record there, or None when the kernel evaluated another point last
+    (after a floor stop's failed trials)."""
+    problem, last = _surrogate(cfg, stage, x_prev, start)
+    result = maximize(problem, x_prev, tol=options.kernel_tol, max_iter=options.kernel_max_iter)
     trace.kernel_stops[result.stop] += 1
+    trace.kernel_iterations += result.iterations
     trace.kernel_fallbacks += result.fallbacks
-    return result.point
+    x, *record = last[0]
+    return result.point, tuple(record) if x is result.point else None
 
 
 def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> float:
@@ -382,14 +401,15 @@ def _stage_objective(cfg, p, q, lam, circuit_power) -> float:
 
 
 def _report_kernel(solver: str, trace: SolverTrace) -> None:
-    """One DEBUG line on the solve's kernel calls, and a WARNING when any
-    of them hit the iteration cap."""
+    """One DEBUG line on the solve's kernel calls and iterations, and a
+    WARNING when any of the calls hit the iteration cap."""
     stops = trace.kernel_stops
     log.debug(
-        "%s: %d kernel calls (%s), %d Newton fallbacks, %d capped DC stages",
+        "%s: %d kernel calls (%s), %d Newton fallbacks, %d capped DC stages, "
+        "%d kernel iterations",
         solver, stops.total(),
         ", ".join("%s %d" % (reason, stops[reason]) for reason in ("stationary", "floor", "cap")),
-        trace.kernel_fallbacks, trace.stage_caps,
+        trace.kernel_fallbacks, trace.stage_caps, trace.kernel_iterations,
     )
     caps = stops["cap"]
     if caps:
@@ -400,9 +420,10 @@ def _report_kernel(solver: str, trace: SolverTrace) -> None:
 
 
 def _add_counts(trace: SolverTrace, other: SolverTrace) -> None:
-    """Add other's kernel stops, Newton fallbacks and capped stages to
-    trace's."""
+    """Add other's kernel stops, iterations, Newton fallbacks and capped
+    stages to trace's."""
     trace.kernel_stops.update(other.kernel_stops)
+    trace.kernel_iterations += other.kernel_iterations
     trace.kernel_fallbacks += other.kernel_fallbacks
     trace.stage_caps += other.stage_caps
 
@@ -418,11 +439,14 @@ def _dc_stage(
     last iterate, its objective and whether the loop converged."""
     debug = log.isEnabledFor(logging.DEBUG)
     if debug:
-        t0, calls0 = perf_counter(), trace.kernel_stops.total()
+        t0 = perf_counter()
+        calls0, iterations0 = trace.kernel_stops.total(), trace.kernel_iterations
     values = [start]
     converged = False
+    concave = None  # the concave half's record at x, from the last DC step
     for _ in range(options.max_inner):
-        x = type(x).from_flat(cfg, _dc_step(cfg, stage, x.flat(), options, trace))
+        point, concave = _dc_step(cfg, stage, x.flat(), options, trace, concave)
+        x = type(x).from_flat(cfg, point)
         values.append(stage.objective(x))
         if values[-1] - values[-2] < options.inner_tol:
             converged = True
@@ -432,8 +456,10 @@ def _dc_stage(
         trace.stage_caps += 1
     if debug:
         log.debug(
-            "%s DC stage: %d steps, %d kernel calls, objective %.10g -> %.10g, %s, %.3g s",
+            "%s DC stage: %d steps, %d kernel calls, %d kernel iterations, "
+            "objective %.10g -> %.10g, %s, %.3g s",
             stage.side, len(values) - 1, trace.kernel_stops.total() - calls0,
+            trace.kernel_iterations - iterations0,
             values[0], values[-1],
             "converged" if converged else "stopped at max_inner=%d" % options.max_inner,
             perf_counter() - t0,

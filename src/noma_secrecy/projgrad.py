@@ -37,6 +37,17 @@ cap, and how many Newton trials fell back.
 Objectives may return -inf to flag an out-of-domain point (e.g. a log
 argument below its guard); the line search treats that as a rejected
 step. Non-finite values at an accepted point are an error.
+
+The problems have a few to a few tens of variables, so an iteration's
+cost is call overhead, each numpy call costing microseconds on a vector
+of a handful of floats. The epsilon-active sets are therefore decided on
+Python floats (`tolist()`), with the comparisons numpy would make
+element by element, and the Newton systems go to numpy's LAPACK gufunc
+without `np.linalg.solve`'s wrapper (`_solve`). The floats are the same
+as with numpy masks and `np.linalg.solve`, bit for bit; the tests keep
+the mask rule as the reference. This choice pays only while problems
+stay that small: at hundreds of variables the Python loops would cost
+more than the numpy calls they replace.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Box",
@@ -91,18 +103,22 @@ class CappedSimplex:
 
 def _project_capped_simplex(x: np.ndarray, cap: float) -> np.ndarray:
     clipped = np.maximum(x, 0.0)
-    if clipped.sum() <= cap:
+    if np.add.reduce(clipped) <= cap:
         return clipped
     # Cap active: Euclidean projection onto {z >= 0, sum(z) = cap} via the
-    # sort-based water-filling rule z = max(x - theta, 0).
-    u = np.sort(x)[::-1]
-    excess = np.cumsum(u) - cap
-    counts = np.arange(1, x.size + 1)
-    active = u - excess / counts > 0.0
-    # The largest entry is in the support; its test fails at cap = 0 or below its ulp.
-    active[0] = True
-    r = int(np.nonzero(active)[0][-1]) + 1
-    theta = excess[r - 1] / r
+    # sort-based water-filling rule z = max(x - theta, 0), on Python
+    # floats. theta = excess_r / r for the largest r with
+    # u_r - excess_r / r > 0, where u is x sorted descending and excess_r
+    # its r-th running sum minus cap. The largest entry is always in the
+    # support (its test fails at cap = 0 or below its ulp).
+    u = sorted(x.tolist(), reverse=True)
+    run = u[0]
+    theta = run - cap
+    for r in range(2, len(u) + 1):
+        run += u[r - 1]
+        excess = run - cap
+        if u[r - 1] - excess / r > 0.0:
+            theta = excess / r
     return np.maximum(x - theta, 0.0)
 
 
@@ -174,11 +190,12 @@ def maximize(
     times, and accepts the first point with a positive ascent estimate
     g.(x(alpha) - x) that passes the Armijo test below. When the system is
     singular, d is not finite or no trial passes, the iteration counts a
-    fallback and takes the gradient step. The Hessian is always asked for
-    at the current iterate, and that is the array `problem.evaluate` was
-    given last (x0 copied, or the accepted trial point): an oracle may
-    reuse what it computed for that array when it gets the same object
-    back, as the DC surrogates reuse their log arguments.
+    fallback and takes the gradient step. The first evaluation is at a
+    copy of x0. The Hessian is always asked for at the current iterate,
+    and that is the array `problem.evaluate` was given last (x0 copied,
+    or the accepted trial point): an oracle may reuse what it computed
+    for that array when it gets the same object back, as the DC
+    surrogates reuse their log arguments.
 
     The gradient step's line search starts from the spectral
     (Barzilai-Borwein) step ||s||^2 / s.y, with s = x - x_prev and
@@ -202,7 +219,7 @@ def maximize(
         raise ValueError("x0 is not feasible: %r" % (x,))
 
     value, grad = problem.evaluate(x)
-    if not math.isfinite(value) or not np.isfinite(grad).all():
+    if not math.isfinite(value) or not _all_finite(grad):
         raise ValueError("non-finite objective or gradient at x0 = %r" % (x,))
 
     history = [value]
@@ -266,7 +283,7 @@ def _arc_search(problem, x, value, grad, direction, alpha, floor):
         if gain > 0.0:
             cand_value, cand_grad = problem.evaluate(candidate)
             if math.isfinite(cand_value) and cand_value >= value + _ARMIJO * gain:
-                if not np.isfinite(cand_grad).all():
+                if not _all_finite(cand_grad):
                     raise ValueError(
                         "non-finite gradient at accepted point %r" % (candidate,)
                     )
@@ -285,7 +302,7 @@ def _newton_step(problem, x, value, grad, target, eps):
         )
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(direction).all():
+    if not _all_finite(direction):
         return None
     return _arc_search(
         problem, x, value, grad, direction, 1.0, _SHRINK ** (_NEWTON_HALVINGS + 1)
@@ -308,37 +325,76 @@ def _newton_direction(feasible_set, x, grad, hess, target, eps):
 
     so x + d sums to the cap; nu estimates the water-filling threshold
     of target, which is the cap's multiplier at a KKT point.
+
+    The active sets are decided on Python floats (see the module
+    docstring); each comparison is the one numpy would make element by
+    element, so the sets, and the direction's bits, are the same.
     """
+    xs = x.tolist()
     if isinstance(feasible_set, CappedSimplex):
         cap = feasible_set.cap
-        slack = cap - float(x.sum())
-        if slack <= eps and np.maximum(x + grad, 0.0).sum() > cap:
-            active = (x <= eps) & (target == 0.0)
-            free = np.flatnonzero(~active)
-            kkt = np.ones((free.size + 1, free.size + 1))
+        slack = cap - float(np.add.reduce(x))
+        if slack <= eps and np.add.reduce(np.maximum(x + grad, 0.0)) > cap:
+            free, zero = [], []
+            for i, (xi, ti) in enumerate(zip(xs, target.tolist())):
+                (zero if xi <= eps and ti == 0.0 else free).append(i)
+            rhs = np.empty(len(free) + 1)
+            rhs[:-1] = grad.take(free)
+            rhs[-1] = slack + float(np.add.reduce(x.take(zero)))
+            kkt = np.ones((rhs.size, rhs.size))
             kkt[:-1, :-1] = -_block(hess, free)
             kkt[-1, -1] = 0.0
-            solution = np.linalg.solve(kkt, np.append(grad[free], slack + x[active].sum()))
             direction = -x
-            direction[free] = solution[:-1]
+            direction.put(free, _solve(kkt, rhs)[:-1])
             return direction
-        lower, upper = 0.0, np.inf
+        lower, upper = [0.0] * x.size, [math.inf] * x.size
     else:
-        lower, upper = feasible_set.lower, feasible_set.upper
-    active = ((x <= lower + eps) & (grad < 0.0)) | ((x >= upper - eps) & (grad > 0.0))
-    free = np.flatnonzero(~active)
+        lower = _entries(feasible_set.lower, x)
+        upper = _entries(feasible_set.upper, x)
+    free = [
+        i
+        for i, (xi, gi, lo, up) in enumerate(zip(xs, grad.tolist(), lower, upper))
+        if not ((xi <= lo + eps and gi < 0.0) or (xi >= up - eps and gi > 0.0))
+    ]
+    if len(free) == x.size:
+        return _solve(-hess, grad)
     direction = grad.copy()
-    if free.size:
-        direction[free] = np.linalg.solve(-_block(hess, free), grad[free])
+    if free:
+        direction.put(free, _solve(-_block(hess, free), grad.take(free)))
     return direction
 
 
+def _entries(bound: np.ndarray, x: np.ndarray) -> list[float]:
+    """A Box bound's entries as floats, broadcast to x's shape (a bound
+    may be a scalar)."""
+    if bound.shape != x.shape:
+        bound = np.broadcast_to(bound, x.shape)
+    return bound.tolist()
+
+
 def _block(hess, free):
-    """The rows and columns `free` of hess; hess itself when every
-    variable is free."""
-    if free.size == hess.shape[0]:
+    """The rows and columns `free` (a list of indices) of hess; hess
+    itself when every variable is free."""
+    if len(free) == hess.shape[0]:
         return hess
-    return hess[free[:, None], free]
+    return hess.take(free, 0).take(free, 1)
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of a float matrix and vector without its wrapper:
+    the same LAPACK gufunc under the same error state, so the same bits,
+    and a singular matrix raises LinAlgError."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """np.isfinite(v).all(), without the method's wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(v)))
 
 
 def _norm(r) -> float:

@@ -133,7 +133,8 @@ def _eaves_rates(cfg: SystemConfig, q_flat: np.ndarray, own: np.ndarray) -> np.n
     of transmit power lands on it with unit average gain.
     """
     beta_e = cfg.eav_gain
-    return cfg.overhead * np.log2(1.0 + beta_e * own / (beta_e * (q_flat.sum() - own) + 1.0))
+    others = np.add.reduce(q_flat) - own
+    return cfg.overhead * np.log2(1.0 + beta_e * own / (beta_e * others + 1.0))
 
 
 def _flat_rates(

@@ -780,11 +780,27 @@ class TestRefusesNonFiniteResults:
     raises numpy RuntimeWarnings, which this suite turns into errors, so
     the CLI runs in a child process."""
 
-    GOLDEN_RAGGED = os.path.join(os.path.dirname(__file__), "golden", "ragged.json")
+    GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+    GOLDEN_RAGGED = os.path.join(GOLDEN, "ragged.json")
     PROBES = {
         "huge-eav-gain": ("eav_gain", 1e308),
         "huge-gains": ("clusters", [[1e308, 1e307]]),
     }
+
+    def run(self, tmp_path, command, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        package_root = os.path.dirname(os.path.dirname(noma_secrecy.__file__))
+        path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return subprocess.run(
+            [sys.executable, "-m", "noma_secrecy.cli", *command, "--spec", str(spec_path),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
 
     @pytest.mark.parametrize("name", sorted(PROBES))
     def test_rates_exit_1_and_write_nothing(self, tmp_path, name):
@@ -792,23 +808,40 @@ class TestRefusesNonFiniteResults:
             spec = json.load(fh)
         key, value = self.PROBES[name]
         spec["system"][key] = value
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
-        package_root = os.path.dirname(os.path.dirname(noma_secrecy.__file__))
-        path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "noma_secrecy.cli", "rates", "--spec", str(spec_path),
-             "--out", str(tmp_path / "out.csv")],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env=env,
-        )
+        proc = self.run(tmp_path, ["rates"], spec)
         assert proc.returncode == 1, proc.stdout
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "non-finite" in errors[0], proc.stderr
         assert any(" %s " % column in errors[0] for column in ("legit", "eaves", "secrecy"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    @pytest.mark.parametrize(
+        "command, golden, probe",
+        [
+            (["optimize", "--mode", "se"], "ragged.json", "huge-eav-gain"),
+            (["optimize", "--mode", "se"], "ragged.json", "huge-gains"),
+            (["optimize", "--mode", "ee"], "ragged.json", "huge-eav-gain"),
+            (["optimize", "--mode", "ee"], "ragged.json", "huge-gains"),
+            # The first point's rates are finite; the second point's
+            # eavesdropper interference overflows to inf and its rate to 0.
+            (["sweep"], "power-sweep.json", "huge-eav-gain"),
+        ],
+    )
+    def test_solvers_exit_1_before_any_solve(self, tmp_path, command, golden, probe):
+        """The solving commands check the fixed split's rates, at every
+        sweep point, before their first solve: one `error:` line naming
+        the column, no WARNING from a solve and no file."""
+        with open(os.path.join(self.GOLDEN, golden), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        key, value = self.PROBES[probe]
+        spec["system"][key] = value
+        spec["powers"].setdefault("circuit_power_db", 5.0)
+        proc = self.run(tmp_path, command, spec)
+        assert proc.returncode == 1, proc.stdout
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "non-finite" in errors[0], proc.stderr
+        assert any(" %s " % column in errors[0] for column in ("legit", "eaves")), errors
+        assert "WARNING" not in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 

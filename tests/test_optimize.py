@@ -87,7 +87,7 @@ def uplink_arguments(cfg, q, p):
 
 def dc_step(cfg, stage, x, options=None):
     """One DC step of `stage` from the powers x, as the solvers take it."""
-    point = _dc_step(cfg, stage, x.flat(), options or SolveOptions(), SolverTrace())
+    point, _ = _dc_step(cfg, stage, x.flat(), options or SolveOptions(), SolverTrace())
     return type(x).from_flat(cfg, point)
 
 
@@ -506,6 +506,72 @@ class TestKernelStops:
             assert trace.kernel_stops.total() == len(kernel_stops) == len(trace.outer_values) - 1
 
 
+class TestKernelIterations:
+    """SolverTrace.kernel_iterations is the sum of the kernel calls'
+    iterations, and the DEBUG lines report it per solve and per stage.
+    No absolute count is pinned: rounding can change a path across BLAS
+    builds."""
+
+    @pytest.fixture
+    def kernel_iterations(self, monkeypatch):
+        """Iterations of every kernel call, recorded beside the solver."""
+        seen = []
+
+        def recording(*args, **kwargs):
+            result = maximize(*args, **kwargs)
+            seen.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(optimize_module, "maximize", recording)
+        return seen
+
+    @staticmethod
+    def logged(caplog, solver):
+        """The iterations of the solve's summary line and of its stage lines."""
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        [total] = [
+            int(re.search(r"(\d+) kernel iterations$", m).group(1))
+            for m in messages if m.startswith(solver + ": ")
+        ]
+        stages = [TestStageLog.PATTERN.fullmatch(m) for m in messages if " DC stage: " in m]
+        assert all(stages)
+        return total, [int(m.group(4)) for m in stages]
+
+    def test_se_counts_and_logs_every_iteration(self, kernel_iterations, caplog):
+        cfg = scenario(40, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_se(cfg, 1.0, 10.0)
+        assert trace.kernel_iterations == sum(kernel_iterations) > 0
+        total, stages = self.logged(caplog, "maximize_se")
+        assert total == sum(stages) == trace.kernel_iterations
+        assert len(stages) == len(trace.step_values)
+
+    def test_ee_merges_every_round(self, kernel_iterations, caplog):
+        cfg = scenario(41, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5)
+        assert len(trace.epsilons) > 1
+        assert trace.kernel_iterations == sum(kernel_iterations) > 0
+        total, stages = self.logged(caplog, "maximize_ee")
+        assert total == sum(stages) == trace.kernel_iterations
+
+    def test_baselines_count_their_stage(self, kernel_iterations):
+        cfg = scenario(42, m=2, k=2, nt=32)
+        for solve in (baseline_downlink_se, baseline_uplink_se):
+            kernel_iterations.clear()
+            _, _, _, trace = solve(cfg, 1.0, 10.0)
+            assert trace.kernel_iterations == sum(kernel_iterations) > 0
+
+    def test_reused_uplink_stage_keeps_its_iterations(self, kernel_iterations):
+        cfg = scenario(43, m=2, k=2, nt=32)
+        fresh = maximize_se(cfg, 1.0, 10.0)[3]
+        kernel_iterations.clear()
+        uplink = baseline_uplink_se(cfg, 1.0, 10.0)
+        reused = maximize_se(cfg, 1.0, 10.0, _uplink=uplink)[3]
+        assert reused.kernel_iterations == fresh.kernel_iterations == sum(kernel_iterations)
+        assert uplink[3].kernel_iterations > 0
+
+
 class TestKernelFallbacks:
     @pytest.fixture
     def kernel_fallbacks(self, monkeypatch):
@@ -527,9 +593,9 @@ class TestKernelFallbacks:
         stops = trace.kernel_stops
         return (
             "%s: %d kernel calls (stationary %d, floor %d, cap %d), "
-            "%d Newton fallbacks, %d capped DC stages" % (
+            "%d Newton fallbacks, %d capped DC stages, %d kernel iterations" % (
                 solver, stops.total(), stops["stationary"], stops["floor"], stops["cap"],
-                trace.kernel_fallbacks, trace.stage_caps,
+                trace.kernel_fallbacks, trace.stage_caps, trace.kernel_iterations,
             )
         )
 
@@ -595,11 +661,12 @@ class TestStageCaps:
 
 
 class TestStageLog:
-    """One DEBUG line per DC stage: side, DC steps, kernel calls, the
-    objective from start to end, how the stage stopped, wall time."""
+    """One DEBUG line per DC stage: side, DC steps, kernel calls, kernel
+    iterations, the objective from start to end, how the stage stopped,
+    wall time."""
 
     PATTERN = re.compile(
-        r"(uplink|downlink) DC stage: (\d+) steps, (\d+) kernel calls, "
+        r"(uplink|downlink) DC stage: (\d+) steps, (\d+) kernel calls, (\d+) kernel iterations, "
         r"objective (\S+) -> (\S+), (converged|stopped at max_inner=\d+), \S+ s"
     )
 
@@ -618,13 +685,13 @@ class TestStageLog:
         lines = self.stage_lines(caplog)
         assert len(lines) == len(trace.step_values) and all(lines)
         for i, (line, values) in enumerate(zip(lines, trace.step_values)):
-            side, steps, calls, start, end, stop = line.groups()
+            side, steps, calls, _, start, end, stop = line.groups()
             assert side == ("uplink", "downlink")[i % 2]
             assert int(steps) == int(calls) == len(values) - 1
             assert (float(start), float(end)) == pytest.approx((values[0], values[-1]), rel=1e-9)
-        capped = [m for m in lines if m.group(6) != "converged"]
+        capped = [m for m in lines if m.group(7) != "converged"]
         assert len(capped) == trace.stage_caps
-        assert all(m.group(6) == "stopped at max_inner=%d" % max_inner for m in capped)
+        assert all(m.group(7) == "stopped at max_inner=%d" % max_inner for m in capped)
 
     def test_baselines_log_their_stage(self, caplog):
         cfg = scenario(42, m=2, k=2, nt=32)

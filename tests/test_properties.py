@@ -59,6 +59,9 @@ from noma_secrecy.projgrad import (
     Box,
     CappedSimplex,
     ConcaveProblem,
+    _newton_direction,
+    _project_capped_simplex,
+    _solve,
     finite_difference_gradient,
     maximize,
     project,
@@ -250,7 +253,7 @@ def test_surrogate_reuses_its_log_arguments_exactly(instance, lam, downlink):
         stage, x_prev = _downlink_stage(cfg, compute_rho(cfg, p), 100.0, lam), q.flat()
     else:
         stage, x_prev = _uplink_stage(cfg, q, 1.0, lam), p.flat()
-    problem = _surrogate(cfg, stage, x_prev)
+    problem, _ = _surrogate(cfg, stage, x_prev)
     concave, sub = stage.forms
     x = x_prev * rng.uniform(0.5, 1.0, x_prev.size)
     expected = cfg.overhead * concave.hessian(x)
@@ -269,6 +272,32 @@ def test_surrogate_reuses_its_log_arguments_exactly(instance, lam, downlink):
 
 
 @PROPERTY
+@given(instances(), st.sampled_from([0.0, 0.3]), st.booleans())
+def test_dc_step_start_equals_a_fresh_evaluation(instance, lam, downlink):
+    """Each DC step hands the next its concave half's log arguments, value
+    and gradient at its maximizer; they equal a fresh evaluation there,
+    and steps that take them take the same path as steps that do not."""
+    cfg, p, q, _ = instance
+    if downlink:
+        stage, x = _downlink_stage(cfg, compute_rho(cfg, p), 100.0, lam), q.flat()
+    else:
+        stage, x = _uplink_stage(cfg, q, 1.0, lam), p.flat()
+    concave = stage.forms[0]
+    options, trace = SolveOptions(), SolverTrace()
+    chained, start = x, None
+    for _ in range(3):
+        fresh, _ = _dc_step(cfg, stage, chained.copy(), options, trace)
+        chained, start = _dc_step(cfg, stage, chained.copy(), options, trace, start)
+        assert np.array_equal(chained, fresh)
+        if start is not None:
+            args, value, grad = start
+            cval, cgrad = concave.evaluate(chained)
+            assert np.array_equal(args, concave.A @ chained + concave.b)
+            assert value == cfg.overhead * cval
+            assert np.array_equal(grad, cfg.overhead * cgrad)
+
+
+@PROPERTY
 @given(instances(), st.sampled_from([0.0, 0.2]))
 def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
     cfg, p, q, _ = instance
@@ -279,12 +308,12 @@ def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
     options, trace = SolveOptions(), SolverTrace()
     before = stage(p, q)
     up = _uplink_stage(cfg, q, 1.0, penalty)
-    p_next = UplinkPower.from_flat(cfg, _dc_step(cfg, up, p.flat(), options, trace))
+    p_next = UplinkPower.from_flat(cfg, _dc_step(cfg, up, p.flat(), options, trace)[0])
     after_up = stage(p_next, q)
     assert after_up >= before - 1e-9
 
     down = _downlink_stage(cfg, compute_rho(cfg, p_next), 100.0, penalty)
-    q_next = DownlinkPower.from_flat(cfg, _dc_step(cfg, down, q.flat(), options, trace))
+    q_next = DownlinkPower.from_flat(cfg, _dc_step(cfg, down, q.flat(), options, trace)[0])
     assert stage(p_next, q_next) >= after_up - 1e-9
     assert q_next.total() <= 100.0 + 1e-9
 
@@ -797,6 +826,157 @@ def test_newton_kernel_matches_the_gradient_kernel(instance):
         cap = problem.feasible_set.cap
         assert newton.point.sum() == pytest.approx(cap, rel=1e-12)
         assert np.all(newton.point[:off] == 0.0)
+
+
+def _kkt(rng, n_free):
+    """A face step's KKT matrix [-H 1; 1' 0] for a random negative
+    definite H of n_free variables."""
+    root = rng.normal(size=(n_free, n_free))
+    kkt = np.ones((n_free + 1, n_free + 1))
+    kkt[:-1, :-1] = root.T @ root + np.diag(rng.uniform(1e-3, 10.0, n_free))
+    kkt[-1, -1] = 0.0
+    return kkt
+
+
+@PROPERTY
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans(), st.floats(-8.0, 8.0))
+def test_solve_equals_numpy_solve_bit_for_bit(n, seed, kkt, log_scale):
+    rng = np.random.default_rng(seed)
+    a = _kkt(rng, n - 1) if kkt and n > 1 else rng.normal(size=(n, n)) * 10.0**log_scale
+    b = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0)
+    assert np.array_equal(_solve(a, b), np.linalg.solve(a, b))
+
+
+@pytest.mark.parametrize(
+    "a", [np.zeros((1, 1)), np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((3, 3))]
+)
+def test_solve_raises_on_a_singular_matrix(a):
+    before = np.geterr(), np.geterrcall()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, np.ones(a.shape[0]))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _solve(a, np.ones(a.shape[0]))
+    assert (np.geterr(), np.geterrcall()) == before
+
+
+def _reference_newton_direction(feasible_set, x, grad, hess, target, eps):
+    """The projected Newton direction with its active sets as numpy masks
+    and np.linalg.solve: the rule `_newton_direction` must equal bit for
+    bit."""
+    if isinstance(feasible_set, CappedSimplex):
+        cap = feasible_set.cap
+        slack = cap - float(x.sum())
+        if slack <= eps and np.maximum(x + grad, 0.0).sum() > cap:
+            active = (x <= eps) & (target == 0.0)
+            free = np.flatnonzero(~active)
+            kkt = np.ones((free.size + 1, free.size + 1))
+            kkt[:-1, :-1] = -hess[free[:, None], free]
+            kkt[-1, -1] = 0.0
+            solution = np.linalg.solve(kkt, np.append(grad[free], slack + x[active].sum()))
+            direction = -x
+            direction[free] = solution[:-1]
+            return direction
+        lower, upper = 0.0, np.inf
+    else:
+        lower, upper = feasible_set.lower, feasible_set.upper
+    active = ((x <= lower + eps) & (grad < 0.0)) | ((x >= upper - eps) & (grad > 0.0))
+    free = np.flatnonzero(~active)
+    direction = grad.copy()
+    if free.size:
+        direction[free] = np.linalg.solve(-hess[free[:, None], free], grad[free])
+    return direction
+
+
+@st.composite
+def newton_inputs(draw):
+    """(feasible set, x, grad, hess, target, eps) with some variables at
+    or within eps of their bounds, and on the capped set a sum at or near
+    the cap, so that both active-set rules and the face step run."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    grad = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    grad[rng.random(n) < 0.2] = 0.0
+    root = rng.normal(size=(n, n))
+    hess = -(root.T @ root + np.diag(rng.uniform(0.0, 5.0, n)))
+    # 0 free, 1 at a bound, 2 near one, 3 exactly eps inside one, 4 at the upper bound.
+    place = rng.integers(0, 5, n)
+    if draw(st.booleans()):
+        lower, upper = rng.uniform(-1.0, 0.0, n), rng.uniform(0.5, 2.0, n)
+        x = rng.uniform(lower, upper)
+        x = np.where(place == 1, lower, x)
+        x = np.where(place == 2, lower + eps * rng.uniform(0.0, 1.5, n), x)
+        x = np.where(place == 3, np.where(rng.random(n) < 0.5, lower + eps, upper - eps), x)
+        x = np.where(place == 4, upper, x)
+        feasible_set = Box(lower=lower, upper=upper)
+    else:
+        x = rng.uniform(0.0, 1.0, n)
+        x = np.where(place == 1, 0.0, x)
+        x = np.where(place == 2, eps * rng.uniform(0.0, 1.5, n), x)
+        x = np.where(place == 3, eps, x)
+        cap = float(x.sum()) + draw(st.sampled_from([0.0, eps / 2, 1.0]))
+        feasible_set = CappedSimplex(cap)
+    return feasible_set, x, grad, hess, project(feasible_set, x + grad), eps
+
+
+@PROPERTY
+@given(newton_inputs())
+def test_newton_direction_equals_the_mask_rule_bit_for_bit(inputs):
+    try:
+        expected = _reference_newton_direction(*inputs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _newton_direction(*inputs)
+        return
+    assert np.array_equal(_newton_direction(*inputs), expected, equal_nan=True)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.5]) | st.floats(-10.0, 10.0),
+        min_size=1,
+        max_size=12,
+    ),
+    st.floats(0.0, 20.0),
+)
+def test_capped_simplex_projection_equals_the_sorted_rule_bit_for_bit(x, cap):
+    x = np.array(x)
+    clipped = np.maximum(x, 0.0)
+    if clipped.sum() <= cap:
+        expected = clipped
+    else:
+        u = np.sort(x)[::-1]
+        excess = np.cumsum(u) - cap
+        active = u - excess / np.arange(1, x.size + 1) > 0.0
+        active[0] = True
+        r = int(np.nonzero(active)[0][-1]) + 1
+        expected = np.maximum(x - excess[r - 1] / r, 0.0)
+    got = _project_capped_simplex(x, cap)
+    assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@PROPERTY
+@given(kernel_problems(), st.sampled_from(["float", "0-d"]))
+def test_box_with_scalar_bounds_takes_the_same_steps(instance, kind):
+    problem, _, _ = instance
+    assume(isinstance(problem.feasible_set, Box))
+    n = problem.dim
+    # Inside the problem's own box, where its log arguments are positive.
+    lower = float(problem.feasible_set.lower.max())
+    upper = lower + 1.0
+    if kind == "float":
+        scalar = Box(lower=lower, upper=upper)
+    else:
+        scalar = Box(lower=np.array(lower), upper=np.array(upper))
+    full = Box(lower=np.full(n, lower), upper=np.full(n, upper))
+    x0 = np.linspace(lower, upper, n)
+    runs = [maximize(dataclasses.replace(problem, feasible_set=box), x0) for box in (scalar, full)]
+    assert runs[0].history == runs[1].history
+    assert np.array_equal(runs[0].point, runs[1].point)
+    assert (runs[0].iterations, runs[0].stop, runs[0].fallbacks) == (
+        runs[1].iterations, runs[1].stop, runs[1].fallbacks
+    )
 
 
 @st.composite
