@@ -600,12 +600,12 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
     head = [spec.scenario, "optimize", "", ""]
     _fixed_rows(head, spec, cfg, p_max, q_max, circuit)
     if mode == "se":
-        p, q, report, trace = maximize_se(cfg, p_max, q_max)
+        p, q, report, trace = maximize_se(cfg, p_max, q_max, an_fraction=spec.an_fraction)
         lam = None
     else:
         if circuit is None:
             raise ValueError("powers.circuit_power_db is required for mode=ee")
-        p, q, _, trace = maximize_ee(cfg, p_max, q_max, circuit)
+        p, q, _, trace = maximize_ee(cfg, p_max, q_max, circuit, an_fraction=spec.an_fraction)
         report = secrecy_report(cfg, p, q)
         lam = trace.lambda_sequence[-1]
 
@@ -633,40 +633,43 @@ def run_optimize(spec: ExperimentSpec, out: str, mode: str = "se") -> list[str]:
 
 
 def _sweep_start(spec: ExperimentSpec, value: float):
-    """One sweep point's (configuration, p_max, q_max, circuit power, row
-    head, fixed-split rows): the spec with its sweep axis set to `value`,
-    and its `_fixed_rows`, which raise on a point out of range."""
+    """One sweep point's (configuration, p_max, q_max, circuit power, AN
+    share, row head, fixed-split rows): the spec with its sweep axis set
+    to `value`, and its `_fixed_rows`, which raise on a point out of
+    range."""
     axis = spec.sweep_axis
     changes = {axis: value}
     if axis == "users_per_cluster":
         changes["clusters"] = None  # cut the drawn gain pool into clusters of this size
     cfg, p_max, q_max, circuit = _point(dataclasses.replace(spec, **changes))
     head = [spec.scenario, "sweep", axis, value]
-    return cfg, p_max, q_max, circuit, head, _fixed_rows(head, spec, cfg, p_max, q_max, circuit)
+    fixed = _fixed_rows(head, spec, cfg, p_max, q_max, circuit)
+    return cfg, p_max, q_max, circuit, spec.an_fraction, head, fixed
 
 
 def _sweep_point(start) -> list[tuple[list[list], list]]:
     """The (user rows, summary row) of every allocator at one sweep point,
-    from its `_sweep_start`."""
-    cfg, p_max, q_max, circuit, head, fixed = start
+    from its `_sweep_start`. Every solver starts from the point's fixed
+    split."""
+    cfg, p_max, q_max, circuit, an_fraction, head, fixed = start
     options = SolveOptions()
 
     allocations = [fixed]
-    uplink = baseline_uplink_se(cfg, p_max, q_max, options)
-    downlink = baseline_downlink_se(cfg, p_max, q_max, options)
+    uplink = baseline_uplink_se(cfg, p_max, q_max, options, an_fraction)
+    downlink = baseline_downlink_se(cfg, p_max, q_max, options, an_fraction)
     for allocator, (p, q, report, trace) in (("uplink", uplink), ("downlink", downlink)):
         allocations.append(
             _allocation_rows(head, cfg, allocator, [(p, q, report)], circuit, trace.converged)
         )
     # The proposed solve's first stage is the uplink baseline's.
-    p, q, report, trace = maximize_se(cfg, p_max, q_max, options, _uplink=uplink)
+    p, q, report, trace = maximize_se(cfg, p_max, q_max, options, an_fraction, _uplink=uplink)
     allocations.append(
         _allocation_rows(
             head, cfg, "proposed", [(p, q, report)], circuit, trace.converged, len(trace.epsilons)
         )
     )
     if circuit is not None:
-        p, q, _, trace = maximize_ee(cfg, p_max, q_max, circuit, options)
+        p, q, _, trace = maximize_ee(cfg, p_max, q_max, circuit, options, an_fraction)
         allocations.append(
             _allocation_rows(
                 head, cfg, "proposed_ee", [(p, q, secrecy_report(cfg, p, q))], circuit,
@@ -674,7 +677,7 @@ def _sweep_point(start) -> list[tuple[list[list], list]]:
             )
         )
     if len(set(cfg.users_per_cluster)) == 1:
-        oma = optimize_oma_tdma(cfg, p_max, q_max, options)
+        oma = optimize_oma_tdma(cfg, p_max, q_max, options, an_fraction=an_fraction)
         slots = [(p, q, report) for p, q, report, _ in oma.slots]
         allocations.append(_allocation_rows(head, cfg, "oma", slots, circuit, shared=True))
     return allocations

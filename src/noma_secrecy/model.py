@@ -141,6 +141,11 @@ class SystemConfig:
         return _readonly(self.user_offsets + np.arange(self.n_clusters), int)
 
     @cached_property
+    def an_slots(self) -> np.ndarray:
+        """Downlink-vector index of each user's cluster's AN slot."""
+        return _readonly(self.slot_offsets[self.cluster_of], int)
+
+    @cached_property
     def user_slots(self) -> np.ndarray:
         """Downlink-vector index of each user's power."""
         return _readonly(np.arange(self.total_users) + self.cluster_of + 1, int)
@@ -172,7 +177,7 @@ class SystemConfig:
         cluster's AN power, power of the stronger users of the own
         cluster, total power of every other cluster with its AN)."""
         own = q_flat[self.user_slots]
-        an = q_flat[self.slot_offsets][self.cluster_of]
+        an = q_flat[self.an_slots]
         # The other clusters' power from the per-cluster totals alone, so
         # that it is exactly zero on a one-cluster layout.
         totals = np.add.reduceat(q_flat, self.slot_offsets)
@@ -187,7 +192,7 @@ class SystemConfig:
         slots = np.arange(self.total_users + self.n_clusters)
         slot_cluster = np.repeat(np.arange(self.n_clusters), np.add(self.users_per_cluster, 1))
         own = self.user_slots[:, None]
-        an = self.slot_offsets[self.cluster_of][:, None]
+        an = self.an_slots[:, None]
         same = slot_cluster == self.cluster_of[:, None]
         masks = (slots == own, slots == an, same & (an < slots) & (slots < own), ~same)
         return tuple(_readonly(m) for m in masks)
@@ -232,6 +237,14 @@ def _check(sizes, rules) -> None:
             raise ValueError(message % np.searchsorted(np.cumsum(sizes), ok.argmin(), "right"))
 
 
+def _total(rows) -> float:
+    """The sum of each row (`np.add.reduce`) added in row order: what
+    `_FlatRows.total` returns for its rows. Computing it from per-cluster
+    totals of another reduction (`np.add.reduceat`) can differ in the
+    last bits."""
+    return float(sum(map(np.add.reduce, rows)))
+
+
 class _FlatRows:
     """A read-only float buffer in layout order; the field `_field` holds its
     per-cluster rows as views, each with `_extra` slots before the users,
@@ -274,7 +287,7 @@ class _FlatRows:
 
     def total(self) -> float:
         """Row sums added in cluster order, which the output bytes rely on."""
-        return float(sum(map(np.add.reduce, getattr(self, self._field))))
+        return _total(getattr(self, self._field))
 
 
 @dataclass(frozen=True)
@@ -347,6 +360,11 @@ def compute_rho(cfg: SystemConfig, p: UplinkPower) -> EstimationQuality:
     rho_{m,k} = P_{m,k} beta_{m,k} tau / (1 + sum_i P_{m,i} beta_{m,i} tau),
     so within a cluster the rho values sum to strictly less than one.
     """
-    energy = p.flat() * cfg.flat_betas * cfg.pilot_len
-    rho = energy / (1.0 + cfg.cluster_totals(energy))
-    return EstimationQuality._wrap(rho, cfg.users_per_cluster)
+    return EstimationQuality._wrap(_rho(cfg, p.flat()), cfg.users_per_cluster)
+
+
+def _rho(cfg: SystemConfig, p_flat: np.ndarray) -> np.ndarray:
+    """`compute_rho`'s estimation qualities of flat uplink powers, flat
+    and unchecked."""
+    energy = p_flat * cfg.flat_betas * cfg.pilot_len
+    return energy / (1.0 + cfg.cluster_totals(energy))

@@ -29,20 +29,24 @@ it to the kernel, which then takes projected Newton steps.
 
 A stage holds one side's powers fixed, so its forms, its feasible set
 (the per-user box on the uplink, the capped nonnegative set on the
-downlink) and its objective are built once per stage, by `_uplink_stage`
-and `_downlink_stage`, and every DC step of the stage reuses them. The
-prebuilt objective computes the fixed side's part once: the downlink
-stage keeps the estimation quality it was built from, the uplink stage
-the downlink powers' per-user views, the eavesdropping rates and the
-downlink total. It repeats `smooth_secrecy_sum` and `_stage_objective`
-operation for operation, so it returns the same bytes; a property test
-checks that. One stage loop, `_dc_stage`, serves the SE solver, each
-Dinkelbach round of the EE solver and both baselines. Each DC step's
-surrogate keeps the log arguments A x + b of the point it evaluated
-last, and its Hessian oracle reuses them when the kernel asks for the
-Hessian at that point. A DC step starts where the last one ended, so it
-takes the concave half's arguments, value and gradient there from the
-last step instead of computing them again.
+downlink), its objective and its DC surrogate are built once per stage,
+by `_uplink_stage` and `_downlink_stage`; a DC step only sets the
+surrogate's linear term, its constant and its start record. The stage
+objective takes the side's flat power vector. It binds the rate
+factors that stay fixed for the stage (`rates._downlink_gaps`: the
+estimation quality's; `rates._uplink_gaps`: the downlink powers', with
+the eavesdropping rates) and repeats `smooth_secrecy_sum` minus the
+power price operation for operation, so it returns the same bytes; a
+property test checks that. One stage loop, `_dc_stage`, serves the SE
+solver, each Dinkelbach round of the EE solver and both baselines. It
+passes the kernel's flat point to the next DC step and to the
+objective, checks that each point is finite and nonnegative, and wraps
+the last one in an `UplinkPower` or `DownlinkPower` once. Each DC
+step's surrogate keeps the log arguments A x + b of the point it
+evaluated last, and its Hessian oracle reuses them when the kernel asks
+for the Hessian at that point. A DC step starts where the last one
+ended, so it takes the concave half's arguments, value and gradient
+there from the last step instead of computing them again.
 """
 
 from __future__ import annotations
@@ -62,15 +66,18 @@ from .model import (
     EstimationQuality,
     SystemConfig,
     UplinkPower,
+    _cut,
+    _rho,
+    _total,
     compute_rho,
 )
 from .projgrad import Box, CappedSimplex, ConcaveProblem, maximize
 from .rates import (
     RateReport,
     _check_circuit_power,
-    _eaves_rates,
+    _downlink_gaps,
     _flat_rates,
-    _legit_rates,
+    _uplink_gaps,
     energy_efficiency,
     secrecy_report,
 )
@@ -257,44 +264,38 @@ class SolverTrace:
 
 
 class _Stage(NamedTuple):
-    """One side's DC subproblem at fixed powers of the other side: its
-    forms (concave, subtracted), feasible set and objective of the side's
-    powers, and the power price lam of that objective and of every DC
-    surrogate."""
+    """One side's DC subproblem at fixed powers of the other side, built
+    once per stage: its forms (concave, subtracted), its objective of the
+    side's flat powers (the smooth secrecy sum minus the power price lam
+    times the total power), and its DC surrogate, `_surrogate`'s problem
+    and the function that linearizes it at a point."""
 
     side: str
     forms: tuple[LogAffine, LogAffine]
-    feasible_set: object
-    objective: Callable[[object], float]
-    lam: float
-
-
-def _penalized(gaps: np.ndarray, lam: float, p_total: float, q_total: float, circuit_power):
-    """`_stage_objective` from the per-user rate gaps legit - eaves and the
-    power totals."""
-    value = float(np.add.reduce(gaps))
-    if lam != 0.0:
-        value -= lam * (p_total + q_total + circuit_power)
-    return value
+    objective: Callable[[np.ndarray], float]
+    problem: ConcaveProblem
+    linearize: Callable
 
 
 def _uplink_stage(
     cfg: SystemConfig, q: DownlinkPower, p_max, lam: float = 0.0, circuit_power: float = 0.0
 ) -> _Stage:
-    """The uplink stage at fixed downlink powers: its forms (f1, f2), the
-    per-user box [0, p_max] and the stage objective of p, with q's views,
-    eavesdropping rates and total computed once."""
-    q_flat = q.flat()
-    views = cfg.user_powers(q_flat)
-    eaves = _eaves_rates(cfg, q_flat, views[0])
+    """The uplink stage at fixed downlink powers: its forms (f1, f2) and
+    surrogate on the per-user box [0, p_max], and the stage objective of
+    flat p, with q's rate factors, eavesdropping rates and total
+    computed once."""
+    gaps = _uplink_gaps(cfg, q.flat())
     q_total = q.total()
 
-    def objective(p: UplinkPower) -> float:
-        legit = _legit_rates(cfg, compute_rho(cfg, p).flat(), views)
-        return _penalized(legit - eaves, lam, p.total(), q_total, circuit_power)
+    def objective(p: np.ndarray) -> float:
+        value = float(np.add.reduce(gaps(_rho(cfg, p))))
+        if lam != 0.0:
+            value -= lam * (_total(cfg.split_users(p)) + q_total + circuit_power)
+        return value
 
+    forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
     box = Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
-    return _Stage("uplink", _uplink_forms(cfg, _uplink_coeffs(cfg, q)), box, objective, lam)
+    return _Stage("uplink", forms, objective, *_surrogate(cfg, forms, box, lam))
 
 
 def _downlink_stage(
@@ -307,39 +308,44 @@ def _downlink_stage(
 ) -> _Stage:
     """The downlink stage at fixed estimation quality (and uplink total
     p_total, which only the power price reads): its forms (g1 + g3,
-    g2 + g4), the capped nonnegative set and the stage objective of q."""
-    rho_flat = rho.flat()
+    g2 + g4) and surrogate on the capped nonnegative set, and the stage
+    objective of flat q, with rho's rate factors computed once."""
+    gaps = _downlink_gaps(cfg, rho.flat())
+    sizes = tuple(k + 1 for k in cfg.users_per_cluster)
 
-    def objective(q: DownlinkPower) -> float:
-        legit, eaves = _flat_rates(cfg, rho_flat, q.flat())
-        return _penalized(legit - eaves, lam, p_total, q.total(), circuit_power)
+    def objective(q: np.ndarray) -> float:
+        value = float(np.add.reduce(gaps(q)))
+        if lam != 0.0:
+            value -= lam * (p_total + _total(_cut(q, sizes)) + circuit_power)
+        return value
 
     forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
-    return _Stage("downlink", forms, CappedSimplex(cap=q_max), objective, lam)
+    return _Stage(
+        "downlink", forms, objective, *_surrogate(cfg, forms, CappedSimplex(cap=q_max), lam)
+    )
 
 
-def _surrogate(cfg: SystemConfig, stage: _Stage, x_prev: np.ndarray, start=None):
-    """The DC step's problem at x_prev: maximize the concave surrogate
-    overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev), x - x_prev>)
-    - lam * sum x over the stage's feasible set, whose Hessian is the
-    concave half's times overhead; a zero lam drops the price terms,
-    since v - 0.0 is v. Returns the problem and a one-item list that
-    holds its last evaluation.
+def _surrogate(cfg: SystemConfig, forms, feasible_set, penalty: float):
+    """A stage's DC surrogate, built once per stage: the problem of
+    maximizing overhead * (concave(x) - sub(x_prev) - <grad sub(x_prev),
+    x - x_prev>) - penalty * sum x over the feasible set, whose Hessian
+    is the concave half's times overhead; a zero penalty drops the price
+    terms, since v - 0.0 is v. Returns the `ConcaveProblem` and
+    `linearize(x_prev, first=None)`, which sets the linear term and the
+    constant at x_prev for the next kernel call and returns a one-item
+    list that holds the problem's last evaluation.
 
     Each evaluation records (x, log arguments, overhead * value,
     overhead * gradient) of the concave half in the list. The Hessian
     oracle reuses the log arguments when it is handed the array evaluated
-    last (`maximize` asks for the Hessian there). start, if given, is
-    that record's tail for a point equal to x_prev: the first evaluation,
-    which `maximize` makes at its copy of x_prev, then takes it instead
-    of recomputing it.
+    last (`maximize` asks for the Hessian there). first, if given, is
+    that record's tail for a point equal to x_prev: the first evaluation
+    after `linearize`, which `maximize` makes at its copy of x_prev, then
+    takes it instead of recomputing it.
     """
-    concave, sub = stage.forms
-    penalty = stage.lam
+    concave, sub = forms
     scale = cfg.overhead
-    sub_prev, sub_grad_prev = sub.evaluate(x_prev)
-    lin = scale * sub_grad_prev
-    const = -scale * sub_prev + float(lin @ x_prev)
+    lin = const = start = None
     last = [(None, None, None, None)]
 
     def evaluate(x):
@@ -363,21 +369,32 @@ def _surrogate(cfg: SystemConfig, stage: _Stage, x_prev: np.ndarray, start=None)
             args = concave._arguments(x)
         return scale * concave._hessian_at(args)
 
+    def linearize(x_prev, first=None):
+        nonlocal lin, const, start
+        sub_prev, sub_grad_prev = sub.evaluate(x_prev)
+        lin = scale * sub_grad_prev
+        const = -scale * sub_prev + float(lin @ x_prev)
+        start = first
+        return last
+
     problem = ConcaveProblem(
-        dim=x_prev.size, evaluate=evaluate, feasible_set=stage.feasible_set, hessian=hessian
+        dim=concave.A.shape[1], evaluate=evaluate, feasible_set=feasible_set, hessian=hessian
     )
-    return problem, last
+    return problem, linearize
 
 
-def _dc_step(cfg: SystemConfig, stage: _Stage, x_prev, options, trace, start=None):
-    """One DC iteration of a stage from x_prev: the kernel's maximizer of
-    the `_surrogate` at x_prev (start as there). The kernel's stop reason,
+def _dc_step(stage: _Stage, x_prev, options, trace, start=None):
+    """One DC iteration of a stage from the flat powers x_prev: the
+    kernel's maximizer of the stage's surrogate linearized at x_prev
+    (start as `_surrogate`'s first). The kernel's stop reason,
     iterations and Newton fallbacks are counted in the trace. Returns the
     maximizer and the start of the next step from it: the concave half's
     record there, or None when the kernel evaluated another point last
     (after a floor stop's failed trials)."""
-    problem, last = _surrogate(cfg, stage, x_prev, start)
-    result = maximize(problem, x_prev, tol=options.kernel_tol, max_iter=options.kernel_max_iter)
+    last = stage.linearize(x_prev, start)
+    result = maximize(
+        stage.problem, x_prev, tol=options.kernel_tol, max_iter=options.kernel_max_iter
+    )
     trace.kernel_stops[result.stop] += 1
     trace.kernel_iterations += result.iterations
     trace.kernel_fallbacks += result.fallbacks
@@ -391,13 +408,6 @@ def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> f
     rho = compute_rho(cfg, p)
     legit, eaves = _flat_rates(cfg, rho.flat(), q.flat())
     return float((legit - eaves).sum())
-
-
-def _stage_objective(cfg, p, q, lam, circuit_power) -> float:
-    value = smooth_secrecy_sum(cfg, p, q)
-    if lam != 0.0:
-        value -= lam * (p.total() + q.total() + circuit_power)
-    return value
 
 
 def _report_kernel(solver: str, trace: SolverTrace) -> None:
@@ -433,21 +443,28 @@ def _dc_stage(
 ):
     """Repeat the DC step of `stage` (built once) from the powers x, whose
     stage objective is `start`, until the objective gains less than
-    inner_tol (converged) or max_inner steps have run. Records the
-    objective sequence in trace, counts a stage that stops at max_inner
-    in trace.stage_caps and logs one DEBUG line per stage; returns the
-    last iterate, its objective and whether the loop converged."""
+    inner_tol (converged) or max_inner steps have run. The steps pass the
+    flat powers on, and each step's point must be finite and nonnegative
+    (ValueError otherwise); the last one is wrapped in x's type once.
+    Records the objective sequence in trace, counts a stage that stops at
+    max_inner in trace.stage_caps and logs one DEBUG line per stage;
+    returns the last iterate, its objective and whether the loop
+    converged."""
     debug = log.isEnabledFor(logging.DEBUG)
     if debug:
         t0 = perf_counter()
         calls0, iterations0 = trace.kernel_stops.total(), trace.kernel_iterations
     values = [start]
     converged = False
-    concave = None  # the concave half's record at x, from the last DC step
+    point = x.flat()
+    concave = None  # the concave half's record at point, from the last DC step
     for _ in range(options.max_inner):
-        point, concave = _dc_step(cfg, stage, x.flat(), options, trace, concave)
-        x = type(x).from_flat(cfg, point)
-        values.append(stage.objective(x))
+        point, concave = _dc_step(stage, point, options, trace, concave)
+        if not all(0.0 <= v < math.inf for v in point.tolist()):
+            raise ValueError(
+                "%s DC step left the finite nonnegative powers: %r" % (stage.side, point)
+            )
+        values.append(stage.objective(point))
         if values[-1] - values[-2] < options.inner_tol:
             converged = True
             break
@@ -464,6 +481,8 @@ def _dc_stage(
             "converged" if converged else "stopped at max_inner=%d" % options.max_inner,
             perf_counter() - t0,
         )
+    if point is not x.flat():
+        x = type(x).from_flat(cfg, point)
     return x, values[-1], converged
 
 
@@ -482,23 +501,29 @@ def _alternate(
     """Alternating uplink/downlink DC solve of the (optionally power-
     penalized) smooth secrecy sum. first_uplink, if given, is the result
     (p, q, report, trace) of the first uplink stage, already solved from
-    p0 at q0: its powers, objective sequence and counts are taken as they
-    are."""
+    p0 at q0 with lam = 0: its powers, objective sequence and counts are
+    taken as they are, and its start value is the solve's.
+
+    The first value of trace.outer_values is the stage objective at
+    (p0, q0), which the first uplink stage computes."""
     outer_tol = options.outer_tol if outer_tol is None else outer_tol
     p, q = p0, q0
     trace = SolverTrace()
-    trace.outer_values.append(_stage_objective(cfg, p, q, lam, circuit_power))
+    if first_uplink is None:
+        uplink = _uplink_stage(cfg, q, p_max, lam, circuit_power)
+        trace.outer_values.append(uplink.objective(p.flat()))
+    else:
+        uplink = None
+        trace.outer_values.append(first_uplink[3].step_values[0][0])
 
-    for _ in range(options.max_outer):
+    for outer in range(options.max_outer):
         # Uplink stage at fixed downlink powers.
-        if first_uplink is None:
-            p, r_up, _ = _dc_stage(
-                cfg, _uplink_stage(cfg, q, p_max, lam, circuit_power),
-                p, trace.outer_values[-1], options, trace,
-            )
+        if outer:
+            uplink = _uplink_stage(cfg, q, p_max, lam, circuit_power)
+        if uplink is not None:
+            p, r_up, _ = _dc_stage(cfg, uplink, p, trace.outer_values[-1], options, trace)
         else:
             p, _, _, stage_trace = first_uplink
-            first_uplink = None
             trace.step_values.append(list(stage_trace.step_values[0]))
             _add_counts(trace, stage_trace)
             r_up = trace.step_values[-1][-1]
@@ -541,24 +566,25 @@ def maximize_se(
     p_max,
     q_max: float,
     options: SolveOptions | None = None,
+    an_fraction: float = 0.2,
     _uplink=None,
 ) -> tuple[UplinkPower, DownlinkPower, RateReport, SolverTrace]:
     """Alternating DC maximization of the sum secrecy rate.
 
-    Starts from the fixed baseline allocation, so the first trace value
-    is the baseline's objective and every later value records the
-    improvement over it.
+    Starts from the fixed baseline allocation with AN share an_fraction,
+    so the first trace value is the baseline's objective and every later
+    value records the improvement over it.
 
     Its first uplink stage, at lambda = 0 from the fixed split, is the
     stage `baseline_uplink_se` solves. A caller that has run
-    `baseline_uplink_se(cfg, p_max, q_max, options)` may pass its result
-    as `_uplink`: the solve then takes that stage's powers, objective
-    sequence and kernel counts instead of solving it again (so that
-    stage's DEBUG line is the baseline's), and returns what a fresh solve
-    returns, bit for bit.
+    `baseline_uplink_se(cfg, p_max, q_max, options, an_fraction)`, with
+    the same split, may pass its result as `_uplink`: the solve then
+    takes that stage's powers, objective sequence and kernel counts
+    instead of solving it again (so that stage's DEBUG line is the
+    baseline's), and returns what a fresh solve returns, bit for bit.
     """
     options = options or SolveOptions()
-    p0, q0 = baseline_fixed(cfg, p_max, q_max)
+    p0, q0 = baseline_fixed(cfg, p_max, q_max, an_fraction)
     p, q, trace = _alternate(cfg, p_max, q_max, p0, q0, options, first_uplink=_uplink)
     _report_kernel("maximize_se", trace)
     report = secrecy_report(cfg, p, q)
@@ -571,19 +597,21 @@ def maximize_ee(
     q_max: float,
     circuit_power: float,
     options: SolveOptions | None = None,
+    an_fraction: float = 0.2,
 ) -> tuple[UplinkPower, DownlinkPower, float, SolverTrace]:
     """Dinkelbach maximization of secrecy energy efficiency.
 
-    Starting from lambda = 0, each round maximizes the subtractive
-    objective (secrecy sum - lambda * total power) with the alternating
-    solver warm-started at the previous allocation, then updates lambda
-    to the achieved ratio. Warm starting makes each round's subtractive
-    value nonnegative, so the lambda sequence is nondecreasing; the loop
-    stops once that value drops below ee_tol.
+    Starting from lambda = 0 and the fixed split with AN share
+    an_fraction, each round maximizes the subtractive objective (secrecy
+    sum - lambda * total power) with the alternating solver warm-started
+    at the previous allocation, then updates lambda to the achieved
+    ratio. Warm starting makes each round's subtractive value
+    nonnegative, so the lambda sequence is nondecreasing; the loop stops
+    once that value drops below ee_tol.
     """
     _check_circuit_power(circuit_power)
     options = options or SolveOptions()
-    p, q = baseline_fixed(cfg, p_max, q_max)
+    p, q = baseline_fixed(cfg, p_max, q_max, an_fraction)
     lam = 0.0
     trace = SolverTrace(lambda_sequence=[0.0])
 
@@ -636,13 +664,15 @@ def baseline_downlink_se(
     p_max,
     q_max: float,
     options: SolveOptions | None = None,
+    an_fraction: float = 0.2,
 ) -> tuple[UplinkPower, DownlinkPower, RateReport, SolverTrace]:
-    """Uplink pinned at its cap; one downlink DC loop to convergence."""
+    """Uplink pinned at its cap; one downlink DC loop to convergence from
+    the fixed split with AN share an_fraction."""
     options = options or SolveOptions()
-    p, q = baseline_fixed(cfg, p_max, q_max)
+    p, q = baseline_fixed(cfg, p_max, q_max, an_fraction)
     trace = SolverTrace()
     stage = _downlink_stage(cfg, compute_rho(cfg, p), q_max)
-    q, _, trace.converged = _dc_stage(cfg, stage, q, stage.objective(q), options, trace)
+    q, _, trace.converged = _dc_stage(cfg, stage, q, stage.objective(q.flat()), options, trace)
     trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
 
@@ -652,13 +682,15 @@ def baseline_uplink_se(
     p_max,
     q_max: float,
     options: SolveOptions | None = None,
+    an_fraction: float = 0.2,
 ) -> tuple[UplinkPower, DownlinkPower, RateReport, SolverTrace]:
-    """Downlink pinned at the fixed split; one uplink DC loop."""
+    """Downlink pinned at the fixed split with AN share an_fraction; one
+    uplink DC loop."""
     options = options or SolveOptions()
-    p, q = baseline_fixed(cfg, p_max, q_max)
+    p, q = baseline_fixed(cfg, p_max, q_max, an_fraction)
     trace = SolverTrace()
     stage = _uplink_stage(cfg, q, p_max)
-    p, _, trace.converged = _dc_stage(cfg, stage, p, stage.objective(p), options, trace)
+    p, _, trace.converged = _dc_stage(cfg, stage, p, stage.objective(p.flat()), options, trace)
     trace.outer_values = trace.step_values[0]
     return p, q, secrecy_report(cfg, p, q), trace
 
@@ -679,11 +711,13 @@ def optimize_oma_tdma(
     q_max: float,
     options: SolveOptions | None = None,
     circuit_power: float | None = None,
+    an_fraction: float = 0.2,
 ) -> OmaResult:
     """Optimized orthogonal benchmark: slot t serves the t-th user of
     every cluster with the full power budgets, allocated by the same SE
-    solver on the one-user-per-cluster layout; rates (and powers, for the
-    efficiency figure) are averaged over the K slots."""
+    solver (from the fixed split with AN share an_fraction) on the
+    one-user-per-cluster layout; rates (and powers, for the efficiency
+    figure) are averaged over the K slots."""
     if circuit_power is not None:
         _check_circuit_power(circuit_power)
     users = set(cfg.users_per_cluster)
@@ -704,7 +738,7 @@ def optimize_oma_tdma(
             coherence_len=cfg.coherence_len,
             eav_gain=cfg.eav_gain,
         )
-        p_t, q_t, report_t, trace_t = maximize_se(slot_cfg, p_max, q_max, options)
+        p_t, q_t, report_t, trace_t = maximize_se(slot_cfg, p_max, q_max, options, an_fraction)
         slots.append((p_t, q_t, report_t, trace_t))
         se_sum += report_t.sum_secrecy
         power_sum += p_t.total() + q_t.total()

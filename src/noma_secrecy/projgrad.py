@@ -40,12 +40,13 @@ step. Non-finite values at an accepted point are an error.
 
 The problems have a few to a few tens of variables, so an iteration's
 cost is call overhead, each numpy call costing microseconds on a vector
-of a handful of floats. The epsilon-active sets are therefore decided on
-Python floats (`tolist()`), with the comparisons numpy would make
-element by element, and the Newton systems go to numpy's LAPACK gufunc
-without `np.linalg.solve`'s wrapper (`_solve`). The floats are the same
-as with numpy masks and `np.linalg.solve`, bit for bit; the tests keep
-the mask rule as the reference. This choice pays only while problems
+of a handful of floats. The epsilon-active sets and the finiteness
+checks are therefore decided on Python floats (`tolist()`), with the
+comparisons numpy would make element by element, and the Newton systems
+go to numpy's LAPACK gufunc without `np.linalg.solve`'s wrapper
+(`_solve`). The floats are the same as with numpy masks and
+`np.linalg.solve`, bit for bit; the tests keep the mask rule and
+`np.isfinite` as the references. This choice pays only while problems
 stay that small: at hundreds of variables the Python loops would cost
 more than the numpy calls they replace.
 """
@@ -276,9 +277,12 @@ def _arc_search(problem, x, value, grad, direction, alpha, floor):
     alpha while it is above floor, to the first point with a positive
     ascent estimate gain = grad.(x(alpha) - x) that passes the Armijo
     test f(x(alpha)) >= f(x) + _ARMIJO gain. Returns (point, value,
-    gradient, alpha), or None when no trial passes."""
+    gradient, alpha), or None when no trial passes. The Newton search's
+    first trial skips the product 1.0 * direction, which is direction
+    bit for bit."""
     while alpha > floor:
-        candidate = project(problem.feasible_set, x + alpha * direction)
+        step = direction if alpha == 1.0 else alpha * direction
+        candidate = project(problem.feasible_set, x + step)
         gain = float(grad @ (candidate - x))
         if gain > 0.0:
             cand_value, cand_grad = problem.evaluate(candidate)
@@ -393,8 +397,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _all_finite(v: np.ndarray) -> bool:
-    """np.isfinite(v).all(), without the method's wrapper."""
-    return bool(np.logical_and.reduce(np.isfinite(v)))
+    """np.isfinite(v).all() for a vector, decided on Python floats."""
+    return all(map(math.isfinite, v.tolist()))
 
 
 def _norm(r) -> float:

@@ -83,23 +83,47 @@ class RateReport:
     sum_secrecy: float
 
 
+def _rho_factors(cfg: SystemConfig, rho_flat: np.ndarray):
+    """The factors of the legitimate terms that depend on the estimation
+    quality alone: rho, the own-beam power E|h^H w|^2 = rho N_t + 1 - rho
+    and the estimation-error power 1 - rho, flat."""
+    return rho_flat, rho_flat * cfg.n_antennas + 1.0 - rho_flat, 1.0 - rho_flat
+
+
+def _power_factors(cfg: SystemConfig, views):
+    """The factors of the legitimate terms that depend on the downlink
+    powers alone, from their `user_powers` views: own power times beta,
+    the AN power, the stronger users' power and beta times the other
+    clusters' power (I3), flat."""
+    own, an, stronger, others = views
+    beta = cfg.flat_betas
+    return own * beta, an, stronger, beta * others
+
+
+def _sinr_terms(cfg: SystemConfig, rho_factors, power_factors, exact_gain: bool = False):
+    """Every user's (kappa, I1, I2, I3) of the module docstring, noise
+    excluded, from its `_rho_factors` and `_power_factors`."""
+    rho, beam, leak = rho_factors
+    own_beta, an, stronger, im3 = power_factors
+    kappa = own_beta * rho * array_gain(cfg.n_antennas, exact_gain)
+    im1 = own_beta * beam - kappa if exact_gain else own_beta * leak
+    im2 = cfg.flat_betas * (stronger * beam + an * leak)
+    return kappa, im1, im2, im3
+
+
+def _rate(cfg: SystemConfig, terms) -> np.ndarray:
+    """Legitimate rate of every user from its (kappa, I1, I2, I3)."""
+    kappa, im1, im2, im3 = terms
+    return cfg.overhead * np.log2(1.0 + kappa / (im1 + im2 + im3 + 1.0))
+
+
 def _legit_terms(cfg: SystemConfig, rho_flat: np.ndarray, views, exact_gain: bool = False):
     """Every user's (kappa, I1, I2, I3) of the module docstring, noise
     excluded, from flat estimation qualities and the `user_powers` views
     of a flat downlink vector."""
-    nt = cfg.n_antennas
-    beta = cfg.flat_betas
-    own, an, stronger, others = views
-    beam = rho_flat * nt + 1.0 - rho_flat  # own-beam power, E|h^H w|^2
-
-    kappa = own * beta * rho_flat * array_gain(nt, exact_gain)
-    if exact_gain:
-        im1 = own * beta * beam - kappa
-    else:
-        im1 = own * beta * (1.0 - rho_flat)
-    im2 = beta * (stronger * beam + an * (1.0 - rho_flat))
-    im3 = beta * others
-    return kappa, im1, im2, im3
+    return _sinr_terms(
+        cfg, _rho_factors(cfg, rho_flat), _power_factors(cfg, views), exact_gain
+    )
 
 
 def _user_terms(
@@ -120,8 +144,7 @@ def _user_terms(
 def _legit_rates(cfg: SystemConfig, rho_flat: np.ndarray, views, exact_gain: bool = False):
     """Legitimate rate of every user, flat, from flat estimation
     qualities and the `user_powers` views of a flat downlink vector."""
-    kappa, im1, im2, im3 = _legit_terms(cfg, rho_flat, views, exact_gain)
-    return cfg.overhead * np.log2(1.0 + kappa / (im1 + im2 + im3 + 1.0))
+    return _rate(cfg, _legit_terms(cfg, rho_flat, views, exact_gain))
 
 
 def _eaves_rates(cfg: SystemConfig, q_flat: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -143,6 +166,35 @@ def _flat_rates(
     """Legitimate and eavesdropping rates of every user, flat."""
     views = cfg.user_powers(q_flat)
     return _legit_rates(cfg, rho_flat, views, exact_gain), _eaves_rates(cfg, q_flat, views[0])
+
+
+def _downlink_gaps(cfg: SystemConfig, rho_flat: np.ndarray):
+    """legit - eaves of every user as a function of a flat downlink
+    vector, at fixed estimation quality: the `_flat_rates` difference,
+    with the `_rho_factors` computed once."""
+    rho_factors = _rho_factors(cfg, rho_flat)
+
+    def gaps(q_flat: np.ndarray) -> np.ndarray:
+        views = cfg.user_powers(q_flat)
+        legit = _rate(cfg, _sinr_terms(cfg, rho_factors, _power_factors(cfg, views)))
+        return legit - _eaves_rates(cfg, q_flat, views[0])
+
+    return gaps
+
+
+def _uplink_gaps(cfg: SystemConfig, q_flat: np.ndarray):
+    """legit - eaves of every user as a function of flat estimation
+    qualities, at a fixed flat downlink vector: the `_flat_rates`
+    difference, with the `_power_factors` and the eavesdropping rates
+    computed once."""
+    views = cfg.user_powers(q_flat)
+    power_factors = _power_factors(cfg, views)
+    eaves = _eaves_rates(cfg, q_flat, views[0])
+
+    def gaps(rho_flat: np.ndarray) -> np.ndarray:
+        return _rate(cfg, _sinr_terms(cfg, _rho_factors(cfg, rho_flat), power_factors)) - eaves
+
+    return gaps
 
 
 def secrecy_report(

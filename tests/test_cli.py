@@ -16,8 +16,15 @@ import pytest
 import noma_secrecy
 from noma_secrecy import experiments, montecarlo
 from noma_secrecy.cli import main
-from noma_secrecy.experiments import _point, _verdict, build_config, load_spec, run_validate
-from noma_secrecy.optimize import SolveOptions
+from noma_secrecy.experiments import (
+    _fmt,
+    _point,
+    _verdict,
+    build_config,
+    load_spec,
+    run_validate,
+)
+from noma_secrecy.optimize import SolveOptions, baseline_fixed, smooth_secrecy_sum
 from noma_secrecy.rates import RateReport
 
 
@@ -330,6 +337,69 @@ class TestOptimizeCommand:
         summary = read_rows(tmp_path / "opt_summary.csv")[0]
         assert summary["allocator"] == "proposed_ee"
         assert float(summary["lambda_final"]) == pytest.approx(lambdas[-1], rel=1e-9)
+
+    GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+    def spec_at(self, tmp_path, golden, an_fraction):
+        """A golden spec with its AN share set, and the smooth secrecy sum of
+        every point's fixed split at that share and at the default 0.2."""
+        with open(os.path.join(self.GOLDEN, golden), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw.setdefault("allocation", {})["an_fraction"] = an_fraction
+        raw["powers"].setdefault("circuit_power_db", -5.0)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        spec = load_spec(str(spec_path))
+        points = [spec]
+        if spec.sweep_axis is not None:
+            points = [replace(spec, **{spec.sweep_axis: v}) for v in spec.sweep_values]
+        fixed = []
+        for point in points:
+            cfg, p_max, q_max, _ = _point(point)
+            fixed.append(tuple(
+                smooth_secrecy_sum(cfg, *baseline_fixed(cfg, p_max, q_max, share))
+                for share in (an_fraction, 0.2)
+            ))
+        return spec_path, fixed
+
+    def test_se_trace_starts_at_the_specs_fixed_split(self, tmp_path):
+        spec_path, [(fixed, default)] = self.spec_at(tmp_path, "ragged.json", 0.6)
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--spec", str(spec_path), "--out", str(out)]) == 0
+        first = next(
+            r["value"] for r in read_rows(tmp_path / "opt_trace.csv") if r["kind"] == "objective"
+        )
+        assert first == _fmt(fixed) != _fmt(default)
+
+    @pytest.mark.parametrize(
+        "command, golden, starts",
+        [
+            # The first Dinkelbach round's uplink stage.
+            (["optimize", "--mode", "ee"], "ragged.json", 1),
+            # Per point: both baselines and the first EE round.
+            (["sweep"], "power-sweep.json", 3),
+        ],
+    )
+    def test_solvers_start_at_the_specs_fixed_split(self, tmp_path, caplog, command, golden,
+                                                    starts):
+        """Each solve that starts from the fixed split logs a first DC
+        stage whose objective starts at the spec's split, never at the
+        default AN share."""
+        spec_path, fixed = self.spec_at(tmp_path, golden, 0.6)
+        out = tmp_path / "out.csv"
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            assert main([*command, "--spec", str(spec_path), "--out", str(out)]) == 0
+        begins = [
+            m.group(1)
+            for m in (
+                re.search(r" DC stage: .*objective (\S+) -> ", r.getMessage())
+                for r in caplog.records
+            )
+            if m
+        ]
+        for share, default in fixed:
+            assert begins.count("%.10g" % share) == starts
+            assert "%.10g" % default not in begins
 
     def test_ee_requires_circuit_power(self, tmp_path):
         spec_path = write_spec(tmp_path / "spec.json")

@@ -35,7 +35,13 @@ from noma_secrecy.optimize import (
     optimize_oma_tdma,
     smooth_secrecy_sum,
 )
-from noma_secrecy.projgrad import Box, ConcaveProblem, finite_difference_gradient, maximize
+from noma_secrecy.projgrad import (
+    Box,
+    ConcaveProblem,
+    SolveResult,
+    finite_difference_gradient,
+    maximize,
+)
 from noma_secrecy.rates import (
     _flat_rates,
     _user_terms,
@@ -87,7 +93,7 @@ def uplink_arguments(cfg, q, p):
 
 def dc_step(cfg, stage, x, options=None):
     """One DC step of `stage` from the powers x, as the solvers take it."""
-    point, _ = _dc_step(cfg, stage, x.flat(), options or SolveOptions(), SolverTrace())
+    point, _ = _dc_step(stage, x.flat(), options or SolveOptions(), SolverTrace())
     return type(x).from_flat(cfg, point)
 
 
@@ -331,6 +337,30 @@ class TestStageLoopMatchesOneStep:
         q1 = dc_step(cfg, _downlink_stage(cfg, compute_rho(cfg, p0), 10.0), q0, options)
         assert np.array_equal(p.flat(), p0.flat())
         assert np.array_equal(q.flat(), q1.flat())
+
+
+class TestStageLoopRefusesBadPoints:
+    """The stage loop passes the kernel's flat point on without wrapping it
+    in a power container, so it checks each point itself: a non-finite or
+    negative entry raises at the step that returned it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("side", ["uplink", "downlink"])
+    def test_raises_at_the_first_bad_step(self, monkeypatch, bad, side):
+        cfg = make_cfg([[70.0, 15.0, 4.0], [50.0]], n_antennas=8)
+        calls = []
+
+        def broken(problem, x0, tol, max_iter):
+            calls.append(x0)
+            point = np.array(x0, dtype=float)
+            point[-1] = bad
+            return SolveResult(point, 0.0, 0.0, 1, "stationary")
+
+        monkeypatch.setattr(optimize_module, "maximize", broken)
+        solve = baseline_uplink_se if side == "uplink" else baseline_downlink_se
+        with pytest.raises(ValueError, match="%s DC step left the finite nonnegative" % side):
+            solve(cfg, 1.0, 10.0)
+        assert len(calls) == 1
 
 
 class TestMaximizeSe:

@@ -39,12 +39,11 @@ from noma_secrecy.optimize import (
     LogAffine,
     SolveOptions,
     SolverTrace,
+    _dc_stage,
     _dc_step,
     _downlink_coeffs,
     _downlink_forms,
     _downlink_stage,
-    _stage_objective,
-    _surrogate,
     _uplink_coeffs,
     _uplink_forms,
     _uplink_stage,
@@ -59,6 +58,7 @@ from noma_secrecy.projgrad import (
     Box,
     CappedSimplex,
     ConcaveProblem,
+    _all_finite,
     _newton_direction,
     _project_capped_simplex,
     _solve,
@@ -232,17 +232,27 @@ def test_single_user_clusters_reduce_to_oma(instance):
 lams = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
 
 
+def stage_objective(cfg, p, q, lam, circuit_power) -> float:
+    """The stage objective on power containers: the smooth secrecy sum
+    minus the power price, the reference the stages' flat objectives
+    repeat operation for operation."""
+    value = smooth_secrecy_sum(cfg, p, q)
+    if lam != 0.0:
+        value -= lam * (p.total() + q.total() + circuit_power)
+    return value
+
+
 @PROPERTY
 @given(instances(), lams, st.floats(0.01, 5.0))
 def test_prebuilt_stage_objectives_equal_the_stage_objective(instance, lam, circuit):
-    # Exactly equal: the prebuilt objectives repeat `_stage_objective`'s
+    # Exactly equal: the prebuilt objectives repeat `stage_objective`'s
     # arithmetic operation for operation, and the solvers' bytes rely on it.
     cfg, p, q, _ = instance
-    expected = _stage_objective(cfg, p, q, lam, circuit)
+    expected = stage_objective(cfg, p, q, lam, circuit)
     uplink = _uplink_stage(cfg, q, 1.0, lam, circuit)
     downlink = _downlink_stage(cfg, compute_rho(cfg, p), 10.0, lam, circuit, p.total())
-    assert uplink.objective(p) == expected
-    assert downlink.objective(q) == expected
+    assert uplink.objective(p.flat()) == expected
+    assert downlink.objective(q.flat()) == expected
 
 
 @PROPERTY
@@ -253,7 +263,8 @@ def test_surrogate_reuses_its_log_arguments_exactly(instance, lam, downlink):
         stage, x_prev = _downlink_stage(cfg, compute_rho(cfg, p), 100.0, lam), q.flat()
     else:
         stage, x_prev = _uplink_stage(cfg, q, 1.0, lam), p.flat()
-    problem, _ = _surrogate(cfg, stage, x_prev)
+    stage.linearize(x_prev)
+    problem = stage.problem
     concave, sub = stage.forms
     x = x_prev * rng.uniform(0.5, 1.0, x_prev.size)
     expected = cfg.overhead * concave.hessian(x)
@@ -286,8 +297,8 @@ def test_dc_step_start_equals_a_fresh_evaluation(instance, lam, downlink):
     options, trace = SolveOptions(), SolverTrace()
     chained, start = x, None
     for _ in range(3):
-        fresh, _ = _dc_step(cfg, stage, chained.copy(), options, trace)
-        chained, start = _dc_step(cfg, stage, chained.copy(), options, trace, start)
+        fresh, _ = _dc_step(stage, chained.copy(), options, trace)
+        chained, start = _dc_step(stage, chained.copy(), options, trace, start)
         assert np.array_equal(chained, fresh)
         if start is not None:
             args, value, grad = start
@@ -295,6 +306,66 @@ def test_dc_step_start_equals_a_fresh_evaluation(instance, lam, downlink):
             assert np.array_equal(args, concave.A @ chained + concave.b)
             assert value == cfg.overhead * cval
             assert np.array_equal(grad, cfg.overhead * cgrad)
+
+
+def container_stage_loop(cfg, build, x, other, lam, circuit, options):
+    """The stage loop on power containers: a fresh stage, and so a fresh
+    surrogate, for every DC step, each maximizer wrapped in x's type and
+    the objective taken by `stage_objective`. The reference of
+    `_dc_stage`, which passes flat points and builds its stage once."""
+    uplink = isinstance(x, UplinkPower)
+
+    def objective(x):
+        return stage_objective(cfg, *((x, other) if uplink else (other, x)), lam, circuit)
+
+    trace = SolverTrace()
+    values = [objective(x)]
+    converged = False
+    concave = None
+    for _ in range(options.max_inner):
+        point, concave = _dc_step(build(), x.flat(), options, trace, concave)
+        x = type(x).from_flat(cfg, point)
+        values.append(objective(x))
+        if values[-1] - values[-2] < options.inner_tol:
+            converged = True
+            break
+    trace.step_values.append(values)
+    trace.stage_caps += not converged
+    return x, trace, converged
+
+
+@PROPERTY
+@given(instances(), lams, st.booleans(), st.sampled_from([2, 5, 50]))
+def test_flat_stage_loop_equals_the_container_loop_bit_for_bit(instance, lam, downlink,
+                                                               max_inner):
+    cfg, p, q, _ = instance
+    circuit = 0.5
+    if downlink:
+        def build():
+            return _downlink_stage(cfg, compute_rho(cfg, p), 100.0, lam, circuit, p.total())
+        x, other = q, p
+    else:
+        def build():
+            return _uplink_stage(cfg, q, 1.0, lam, circuit)
+        x, other = p, q
+    options = SolveOptions(max_inner=max_inner)
+    expected, reference, ref_converged = container_stage_loop(
+        cfg, build, x, other, lam, circuit, options
+    )
+    trace = SolverTrace()
+    stage = build()
+    got, value, converged = _dc_stage(cfg, stage, x, stage.objective(x.flat()), options, trace)
+    assert type(got) is type(x)
+    assert got.flat().tobytes() == expected.flat().tobytes()
+    assert converged == ref_converged
+    assert value == reference.step_values[0][-1]
+    assert [np.array(v).tobytes() for v in trace.step_values] == [
+        np.array(v).tobytes() for v in reference.step_values
+    ]
+    assert trace.kernel_stops == reference.kernel_stops
+    assert trace.kernel_iterations == reference.kernel_iterations
+    assert trace.kernel_fallbacks == reference.kernel_fallbacks
+    assert trace.stage_caps == reference.stage_caps
 
 
 @PROPERTY
@@ -308,12 +379,12 @@ def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
     options, trace = SolveOptions(), SolverTrace()
     before = stage(p, q)
     up = _uplink_stage(cfg, q, 1.0, penalty)
-    p_next = UplinkPower.from_flat(cfg, _dc_step(cfg, up, p.flat(), options, trace)[0])
+    p_next = UplinkPower.from_flat(cfg, _dc_step(up, p.flat(), options, trace)[0])
     after_up = stage(p_next, q)
     assert after_up >= before - 1e-9
 
     down = _downlink_stage(cfg, compute_rho(cfg, p_next), 100.0, penalty)
-    q_next = DownlinkPower.from_flat(cfg, _dc_step(cfg, down, q.flat(), options, trace)[0])
+    q_next = DownlinkPower.from_flat(cfg, _dc_step(down, q.flat(), options, trace)[0])
     assert stage(p_next, q_next) >= after_up - 1e-9
     assert q_next.total() <= 100.0 + 1e-9
 
@@ -957,6 +1028,20 @@ def test_capped_simplex_projection_equals_the_sorted_rule_bit_for_bit(x, cap):
 
 
 @PROPERTY
+@given(
+    st.lists(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324])
+        | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_all_finite_equals_numpys_isfinite(values):
+    v = np.array(values)
+    assert _all_finite(v) is bool(np.isfinite(v).all())
+
+
+@PROPERTY
 @given(kernel_problems(), st.sampled_from(["float", "0-d"]))
 def test_box_with_scalar_bounds_takes_the_same_steps(instance, kind):
     problem, _, _ = instance
@@ -1065,11 +1150,13 @@ def exact(value):
     st.sampled_from([1.0, 10.0, 100.0]),
     st.sampled_from([1, 3, 50]),
     st.sampled_from([1, 4]),
+    st.sampled_from([0.0, 0.2, 0.6]),
 )
-def test_passed_uplink_baseline_equals_a_fresh_solve(instance, p_max, q_max, max_inner, max_outer):
+def test_passed_uplink_baseline_equals_a_fresh_solve(instance, p_max, q_max, max_inner, max_outer,
+                                                     an_fraction):
     cfg = instance[0]
     options = SolveOptions(max_inner=max_inner, max_outer=max_outer)
-    fresh = maximize_se(cfg, p_max, q_max, options)
-    uplink = baseline_uplink_se(cfg, p_max, q_max, options)
-    reused = maximize_se(cfg, p_max, q_max, options, _uplink=uplink)
+    fresh = maximize_se(cfg, p_max, q_max, options, an_fraction)
+    uplink = baseline_uplink_se(cfg, p_max, q_max, options, an_fraction)
+    reused = maximize_se(cfg, p_max, q_max, options, an_fraction, _uplink=uplink)
     assert exact(reused) == exact(fresh)
