@@ -229,7 +229,7 @@ class SolveOptions:
     max_inner: int = 50
     kernel_tol: float = 1e-7
     kernel_max_iter: int = 300
-    ee_tol: float = 1e-6  # Dinkelbach: stop on the subtractive objective
+    ee_tol: float = 1e-6  # Dinkelbach: stop on the subtractive objective (and per watt)
     ee_max_outer: int = 60
     ee_outer_tol: float = 1e-6  # alternating tolerance inside Dinkelbach rounds
 
@@ -591,6 +591,29 @@ def maximize_se(
     return p, q, report, trace
 
 
+def _scaled_start(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower, circuit_power: float):
+    """The Dinkelbach start (p', q', lambda_0): of t x (p, q) for 61
+    values of t log-spaced on [1e-6, 1], the one whose smooth secrecy sum
+    has the highest positive ratio to its total power plus circuit_power,
+    with that ratio; zero powers and 0.0 when no t gives a positive ratio.
+    The rates are closed-form, evaluated on flat arrays. Logs one DEBUG
+    line with t and lambda_0."""
+    p_flat, q_flat = p.flat(), q.flat()
+    power = p.total() + q.total()
+    best, lam = 0.0, 0.0
+    for t in np.logspace(-6.0, 0.0, 61).tolist():
+        legit, eaves = _flat_rates(cfg, _rho(cfg, t * p_flat), t * q_flat)
+        ratio = float(np.add.reduce(legit - eaves)) / (t * power + circuit_power)
+        if ratio > lam:
+            best, lam = t, ratio
+    p = UplinkPower.from_flat(cfg, best * p_flat)
+    q = DownlinkPower.from_flat(cfg, best * q_flat)
+    if best:
+        lam = smooth_secrecy_sum(cfg, p, q) / (p.total() + q.total() + circuit_power)
+    log.debug("maximize_ee start: %.3g x the fixed split, lambda_0 %.10g", best, lam)
+    return p, q, lam
+
+
 def maximize_ee(
     cfg: SystemConfig,
     p_max,
@@ -601,36 +624,33 @@ def maximize_ee(
 ) -> tuple[UplinkPower, DownlinkPower, float, SolverTrace]:
     """Dinkelbach maximization of secrecy energy efficiency.
 
-    Starting from lambda = 0 and the fixed split with AN share
-    an_fraction, each round maximizes the subtractive objective (secrecy
-    sum - lambda * total power) with the alternating solver warm-started
-    at the previous allocation, then updates lambda to the achieved
-    ratio. Warm starting makes each round's subtractive value
-    nonnegative, so the lambda sequence is nondecreasing; the loop stops
-    once that value drops below ee_tol.
+    The loop starts at the best scaled fixed split (`_scaled_start`): t
+    times the fixed split with AN share an_fraction, for the t whose
+    smooth secrecy sum has the highest ratio to the consumed power, with
+    lambda_0 equal to that ratio; or at zero powers with lambda_0 = 0 when
+    no t gives a positive ratio. Dinkelbach's method converges from any
+    feasible start whose ratio is lambda_0, and a lambda_0 near the
+    optimum saves the rounds that would creep down from full power.
+
+    Each round maximizes the subtractive objective (secrecy sum - lambda
+    * total power) with the alternating solver warm-started at the
+    previous allocation, then updates lambda to the achieved ratio. The
+    subtractive value is 0 at each round's start, and the alternation
+    never lowers it, so each round ends with a nonnegative value and the
+    lambda sequence is nondecreasing. The loop stops once that value is
+    at most ee_tol and at most ee_tol times the consumed power: the
+    optimum's ratio exceeds lambda by at most the value over the optimum's
+    power, so the second test keeps that gap near ee_tol when little
+    power is consumed.
     """
     _check_circuit_power(circuit_power)
     options = options or SolveOptions()
-    p, q = baseline_fixed(cfg, p_max, q_max, an_fraction)
-    lam = 0.0
-    trace = SolverTrace(lambda_sequence=[0.0])
-
-    if smooth_secrecy_sum(cfg, p, q) < 0.0:
-        # The fixed split starts below the trivial all-zero allocation;
-        # start from (almost) zero instead so round values stay sound.
-        p = UplinkPower.full(cfg, 0.0)
-        q = DownlinkPower.zeros(cfg)
+    p, q, lam = _scaled_start(cfg, *baseline_fixed(cfg, p_max, q_max, an_fraction), circuit_power)
+    trace = SolverTrace(lambda_sequence=[lam])
 
     for _ in range(options.ee_max_outer):
         p, q, round_trace = _alternate(
-            cfg,
-            p_max,
-            q_max,
-            p,
-            q,
-            options,
-            lam=lam,
-            circuit_power=circuit_power,
+            cfg, p_max, q_max, p, q, options, lam=lam, circuit_power=circuit_power,
             outer_tol=options.ee_outer_tol,
         )
         _add_counts(trace, round_trace)
@@ -649,7 +669,7 @@ def maximize_ee(
         trace.epsilons.append(f_hat)
         lam = se_smooth / denom
         trace.lambda_sequence.append(lam)
-        if f_hat <= options.ee_tol:
+        if f_hat <= options.ee_tol * min(1.0, denom):
             trace.converged = True
             break
 

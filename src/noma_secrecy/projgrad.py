@@ -67,7 +67,6 @@ __all__ = [
     "SolveResult",
     "project",
     "maximize",
-    "finite_difference_gradient",
 ]
 
 # Line-search constants of `maximize`: the first trial step, the backtracking
@@ -405,25 +404,3 @@ def _norm(r) -> float:
     """Euclidean norm of a real vector: what np.linalg.norm computes for
     one, sqrt(r . r), without its wrapper."""
     return math.sqrt(float(r @ r))
-
-
-def finite_difference_gradient(
-    func: Callable[[np.ndarray], float],
-    x,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    The per-coordinate step is scaled by max(1, |x_i|) so the check stays
-    meaningful across very different variable magnitudes.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        forward = x.copy()
-        backward = x.copy()
-        forward[i] += h
-        backward[i] -= h
-        grad[i] = (func(forward) - func(backward)) / (2.0 * h)
-    return grad

@@ -37,7 +37,6 @@ from noma_secrecy.optimize import (
     maximize_se,
     optimize_oma_tdma,
 )
-from noma_secrecy.projgrad import finite_difference_gradient
 from noma_secrecy.rates import (
     _flat_rates,
     asymptotic_high_power,
@@ -46,6 +45,8 @@ from noma_secrecy.rates import (
     oma_report,
     secrecy_report,
 )
+
+from reference import finite_difference_gradient
 
 
 def report_line(number: int, label: str, ok: bool) -> None:

@@ -27,6 +27,8 @@ from noma_secrecy.experiments import (
 from noma_secrecy.optimize import SolveOptions, baseline_fixed, smooth_secrecy_sum
 from noma_secrecy.rates import RateReport
 
+from reference import best_scaled_ratio
+
 
 def write_spec(path, **overrides):
     spec = {
@@ -332,7 +334,12 @@ class TestOptimizeCommand:
             for r in read_rows(tmp_path / "opt_trace.csv")
             if r["kind"] == "lambda"
         ]
-        assert lambdas[0] == 0.0
+        # Dinkelbach starts at the best scaled fixed split, with its ratio.
+        cfg, p_max, q_max, circuit = _point(load_spec(str(spec_path)))
+        assert lambdas[0] == pytest.approx(
+            best_scaled_ratio(cfg, p_max, q_max, circuit), rel=1e-9
+        )
+        assert lambdas[0] > 0.0
         assert all(b >= a - 1e-12 for a, b in zip(lambdas, lambdas[1:]))
         summary = read_rows(tmp_path / "opt_summary.csv")[0]
         assert summary["allocator"] == "proposed_ee"
@@ -341,8 +348,10 @@ class TestOptimizeCommand:
     GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
     def spec_at(self, tmp_path, golden, an_fraction):
-        """A golden spec with its AN share set, and the smooth secrecy sum of
-        every point's fixed split at that share and at the default 0.2."""
+        """A golden spec with its AN share set and, per point, the smooth
+        secrecy sum of the fixed split and the EE solver's lambda_0 (the
+        best ratio over t x the fixed split), each at that share and at
+        the default 0.2."""
         with open(os.path.join(self.GOLDEN, golden), encoding="utf-8") as fh:
             raw = json.load(fh)
         raw.setdefault("allocation", {})["an_fraction"] = an_fraction
@@ -353,17 +362,21 @@ class TestOptimizeCommand:
         points = [spec]
         if spec.sweep_axis is not None:
             points = [replace(spec, **{spec.sweep_axis: v}) for v in spec.sweep_values]
-        fixed = []
+        fixed, lambda0 = [], []
         for point in points:
-            cfg, p_max, q_max, _ = _point(point)
+            cfg, p_max, q_max, circuit = _point(point)
             fixed.append(tuple(
                 smooth_secrecy_sum(cfg, *baseline_fixed(cfg, p_max, q_max, share))
                 for share in (an_fraction, 0.2)
             ))
-        return spec_path, fixed
+            lambda0.append(tuple(
+                best_scaled_ratio(cfg, p_max, q_max, circuit, share)
+                for share in (an_fraction, 0.2)
+            ))
+        return spec_path, fixed, lambda0
 
     def test_se_trace_starts_at_the_specs_fixed_split(self, tmp_path):
-        spec_path, [(fixed, default)] = self.spec_at(tmp_path, "ragged.json", 0.6)
+        spec_path, [(fixed, default)], _ = self.spec_at(tmp_path, "ragged.json", 0.6)
         out = tmp_path / "opt.csv"
         assert main(["optimize", "--spec", str(spec_path), "--out", str(out)]) == 0
         first = next(
@@ -374,32 +387,36 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize(
         "command, golden, starts",
         [
-            # The first Dinkelbach round's uplink stage.
+            # The EE solve.
             (["optimize", "--mode", "ee"], "ragged.json", 1),
-            # Per point: both baselines and the first EE round.
+            # Per point: both baselines and the EE solve.
             (["sweep"], "power-sweep.json", 3),
         ],
     )
     def test_solvers_start_at_the_specs_fixed_split(self, tmp_path, caplog, command, golden,
                                                     starts):
-        """Each solve that starts from the fixed split logs a first DC
-        stage whose objective starts at the spec's split, never at the
-        default AN share."""
-        spec_path, fixed = self.spec_at(tmp_path, golden, 0.6)
+        """Each solve that starts from the spec's fixed split shows it,
+        never the default AN share's: the SE baselines log a first DC
+        stage whose objective starts at the split's secrecy sum, and the
+        EE solve logs a lambda_0 equal to the best ratio over t x that
+        split."""
+        spec_path, fixed, lambda0 = self.spec_at(tmp_path, golden, 0.6)
         out = tmp_path / "out.csv"
         with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
             assert main([*command, "--spec", str(spec_path), "--out", str(out)]) == 0
-        begins = [
-            m.group(1)
-            for m in (
-                re.search(r" DC stage: .*objective (\S+) -> ", r.getMessage())
-                for r in caplog.records
-            )
-            if m
-        ]
-        for share, default in fixed:
-            assert begins.count("%.10g" % share) == starts
+
+        def logged(pattern):
+            matches = (re.search(pattern, r.getMessage()) for r in caplog.records)
+            return [m.group(1) for m in matches if m]
+
+        begins = logged(r" DC stage: .*objective (\S+) -> ")
+        ee_starts = logged(r"^maximize_ee start: .*, lambda_0 (\S+)$")
+        assert len(ee_starts) == len(fixed)
+        for (share, default), (lam, lam_default) in zip(fixed, lambda0):
+            assert lam > 0.0 and ee_starts.count("%.10g" % lam) == 1
+            assert begins.count("%.10g" % share) == starts - 1
             assert "%.10g" % default not in begins
+            assert "%.10g" % lam_default not in ee_starts
 
     def test_ee_requires_circuit_power(self, tmp_path):
         spec_path = write_spec(tmp_path / "spec.json")

@@ -39,7 +39,6 @@ from noma_secrecy.projgrad import (
     Box,
     ConcaveProblem,
     SolveResult,
-    finite_difference_gradient,
     maximize,
 )
 from noma_secrecy.rates import (
@@ -48,6 +47,8 @@ from noma_secrecy.rates import (
     energy_efficiency,
     secrecy_report,
 )
+
+from reference import best_scaled_ratio, finite_difference_gradient
 
 
 def make_cfg(betas, n_antennas=64, pilot_len=None, coherence_len=300, eav_gain=10.0):
@@ -447,11 +448,27 @@ class TestBaselineFixed:
 
 
 class TestMaximizeEe:
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """(lam, p0, q0, round trace) of every Dinkelbach round."""
+        seen = []
+        alternate = optimize_module._alternate
+
+        def recording(cfg, p_max, q_max, p0, q0, options, lam=0.0, **kwargs):
+            result = alternate(cfg, p_max, q_max, p0, q0, options, lam=lam, **kwargs)
+            seen.append((lam, p0, q0, result[2]))
+            return result
+
+        monkeypatch.setattr(optimize_module, "_alternate", recording)
+        return seen
+
     def test_lambda_monotone_and_terminal_gap(self):
         cfg = scenario(34, m=2, k=2, nt=32)
-        p, q, ee, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=db_to_linear(-5.0))
+        circuit = db_to_linear(-5.0)
+        p, q, ee, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=circuit)
         lams = trace.lambda_sequence
-        assert lams[0] == 0.0
+        assert lams[0] == pytest.approx(best_scaled_ratio(cfg, 1.0, 10.0, circuit), rel=1e-12)
+        assert lams[0] > 0.0
         assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
         assert trace.converged
         assert 0.0 <= trace.epsilons[-1] <= 1e-6
@@ -464,12 +481,42 @@ class TestMaximizeEe:
         _, _, ee, _ = maximize_ee(cfg, 1.0, 10.0, circuit_power=circuit)
         assert ee >= energy_efficiency(rep_se, p_se, q_se, circuit) - 1e-9
 
-    def test_first_round_is_plain_se_objective(self):
-        # lambda = 0 makes round one an SE maximization: its recorded
-        # smooth objective equals its subtractive value.
+    def test_first_round_starts_at_zero_subtractive_value(self, rounds):
+        # The warm start: round one starts at the point whose ratio is
+        # lambda_0, so its subtractive value there is 0, and the
+        # alternation only raises it.
         cfg = scenario(36, m=2, k=2, nt=32)
         _, _, _, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5)
-        assert trace.epsilons[0] == pytest.approx(trace.outer_values[0], rel=1e-12)
+        lam, p0, q0, first = rounds[0]
+        assert lam == trace.lambda_sequence[0] > 0.0
+        assert lam == smooth_secrecy_sum(cfg, p0, q0) / (p0.total() + q0.total() + 0.5)
+        assert first.outer_values[0] == pytest.approx(0.0, abs=1e-12)
+        assert all(b >= a for a, b in zip(first.outer_values, first.outer_values[1:]))
+        assert trace.epsilons[0] >= 0.0
+
+    def test_no_positive_scaled_ratio_starts_from_zero_powers(self, rounds):
+        # One user, no AN and a strong eavesdropper: every scaled fixed
+        # split has a negative secrecy sum.
+        cfg = make_cfg([[1.0]], n_antennas=8, eav_gain=1e4)
+        assert best_scaled_ratio(cfg, 1.0, 10.0, 0.5, an_fraction=0.0) == 0.0
+        p, q, ee, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5, an_fraction=0.0)
+        lam, p0, q0, _ = rounds[0]
+        assert lam == trace.lambda_sequence[0] == 0.0
+        assert not p0.flat().any() and not q0.flat().any()
+        assert trace.converged and ee == 0.0
+
+    def test_bench_layout_work_counts(self):
+        # The seed-1 benchmark EE instance: from the full-budget split at
+        # lambda = 0 the solve took 710 kernel calls and capped 7 DC
+        # stages; the scaled start takes 155 and caps none. The counts do
+        # not depend on the machine.
+        cfg = make_cfg(
+            [[79.41282782187035, 20.090630467173817], [58.89294046503912, 9.876066929078913]]
+        )
+        _, _, _, trace = maximize_ee(cfg, 1.0, 100.0, circuit_power=db_to_linear(-5.0))
+        assert trace.converged
+        assert trace.stage_caps == 0
+        assert trace.kernel_stops.total() <= 160
 
     def test_requires_positive_circuit_power(self):
         cfg = scenario(37, m=2, k=2)

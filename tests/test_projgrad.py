@@ -9,10 +9,11 @@ from noma_secrecy.projgrad import (
     CappedSimplex,
     ConcaveProblem,
     _newton_direction,
-    finite_difference_gradient,
     maximize,
     project,
 )
+
+from reference import finite_difference_gradient
 
 
 class TestProjection:
