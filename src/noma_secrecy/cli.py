@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -23,7 +24,10 @@ from .experiments import load_spec, run_optimize, run_rates, run_sweep, run_vali
 log = logging.getLogger("noma_secrecy")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused, since
+    `main` may run many commands in one process."""
     parser = argparse.ArgumentParser(
         prog="noma-secrecy",
         description=(

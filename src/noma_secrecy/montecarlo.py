@@ -68,7 +68,6 @@ from .rates import RateReport, _user_terms, chi_mean
 __all__ = [
     "MomentStat",
     "OracleReport",
-    "error_decomposition_check",
     "TrialTables",
     "simulate_trials",
     "reduce_moments",
@@ -284,11 +283,11 @@ def _worker_count(n_trials: int) -> int:
     return max(1, min(available_cpus(), n_trials // _MIN_TRIALS_PER_WORKER))
 
 
-def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) -> list:
+def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, run) -> list:
     """The one trial loop. Trials run in chunks of at most _CHUNK_TRIALS,
     each on its own substream; run(rngs, *rows) gets the chunk's
-    generators and the complex rows of the first n_draws of each trial's
-    draws (see :func:`_layouts`), trial index first, and returns tables
+    generators and the complex rows of each trial's three draws (see
+    :func:`_layouts`), trial index first, and returns tables
     with the trial index first, which are stacked across chunks.
 
     The chunks are split into contiguous ranges, one per worker process
@@ -304,7 +303,7 @@ def _chunk_loop(cfg: SystemConfig, n_trials: int, seed: int, n_draws: int, run) 
     debug = log.isEnabledFor(logging.DEBUG)
     clock = perf_counter if debug else float  # float() is 0.0: nothing timed
     t0 = clock()
-    layouts = _layouts(cfg)[:n_draws]
+    layouts = _layouts(cfg)
     cn_rows = [_cn_rows(c) for c in layouts]
     n_chunks = -(-n_trials // _CHUNK_TRIALS)
     workers = min(_worker_count(n_trials), n_chunks)
@@ -430,7 +429,7 @@ def simulate_trials(cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int)
             norm,
         )
 
-    return TrialTables(*_chunk_loop(cfg, n_trials, seed, 3, chunk))
+    return TrialTables(*_chunk_loop(cfg, n_trials, seed, chunk))
 
 
 def reduce_moments(
@@ -511,49 +510,6 @@ def reduce_moments(
             for k in range(cfg.users_per_cluster[m]):
                 qk = float(row[1 + k])
                 add("eave_kappa", m, k, beta_e * qk * tables.eave_beam[:, m], beta_e * qk)
-    return stats
-
-
-def error_decomposition_check(
-    cfg: SystemConfig, p: UplinkPower, n_trials: int, seed: int
-) -> list[MomentStat]:
-    """Consistency of the realized estimates with the error split
-    h = sqrt(rho) h_hat + sqrt(1 - rho) eps.
-
-    Checks, per user, the estimate/channel correlation against
-    sqrt(rho_{m,k} rho_m^tot) N_t (rho_m^tot is the per-entry variance of
-    the raw estimate) and the estimate/error correlation against zero.
-    """
-    rho = compute_rho(cfg, p)
-    cluster_of = cfg.cluster_of
-
-    def chunk(rngs, rows, y):
-        h = rows[:, :-1]
-        h_hat = _estimate(cfg, p, h, y)
-        return np.vecdot(h_hat[:, cluster_of], h), np.vecdot(h_hat, h_hat).real
-
-    corr, norm_sq = _chunk_loop(cfg, n_trials, seed, 2, chunk)
-
-    # With h_unit = h_hat / sqrt(rho_tot) and eps = (h - sqrt(r) h_unit) /
-    # sqrt(1 - r): <h_unit, eps> = (<h_hat, h> / sqrt(rho_tot) - sqrt(r)
-    # ||h_hat||^2 / rho_tot) / sqrt(1 - r); zero where eps is undefined.
-    r_u = rho.flat()
-    tot_u = np.array([r.sum() for r in rho.rho])[cluster_of]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        along = corr / np.sqrt(tot_u) - np.sqrt(r_u) * norm_sq[:, cluster_of] / tot_u
-        eps_corr = np.where((tot_u > 0.0) & (r_u < 1.0), along / np.sqrt(1.0 - r_u), 0.0)
-
-    stats: list[MomentStat] = []
-    rank = np.arange(cfg.total_users) - cfg.user_offsets[cluster_of]
-    for u, (m, k) in enumerate(zip(cluster_of.tolist(), rank.tolist())):
-        pred = math.sqrt(r_u[u] * tot_u[u]) * cfg.n_antennas
-        for name, samples, predicted in (
-            ("estimate_correlation_re", corr[:, u].real, pred),
-            ("estimate_correlation_im", corr[:, u].imag, 0.0),
-            ("error_correlation_re", eps_corr[:, u].real, 0.0),
-        ):
-            mean, se = _mean_se(samples)
-            stats.append(MomentStat(name, m, k, mean, predicted, se))
     return stats
 
 

@@ -47,6 +47,21 @@ evaluated last, and its Hessian oracle reuses them when the kernel asks
 for the Hessian at that point. A DC step starts where the last one
 ended, so it takes the concave half's arguments, value and gradient
 there from the last step instead of computing them again.
+
+The stages of the Dinkelbach rounds, whose objective carries a power
+price, boost each DC step (the boosted DC algorithm of Aragon Artacho,
+Fleming and Vuong, Math. Program. 169, 2018, for linear constraints
+Aragon Artacho, Campoy and Vuong, Set-Valued Var. Anal. 30, 2022). The
+step from x to y is an ascent direction of the true stage objective at
+y, so `_boost` searches z = P(y + s (y - x)) from s = 2, halving s at
+most six times, and takes the first z that passes an Armijo test on the
+true objective: f(z) > f(y) and f(z) >= f(y) + 1e-4 ||z - y||^2. The
+next step starts at z. A boost costs a few objective evaluations and
+projections, no kernel call, and it halves the EE solve's kernel calls.
+The stages without a price (the SE solver, the baselines and the
+time-shared benchmark) keep the plain step: their objective has flat
+ridges, where a change of path moves the point at which the per-step
+stop test ends the stage, and boosting them lowered the SE answers.
 """
 
 from __future__ import annotations
@@ -71,7 +86,7 @@ from .model import (
     _total,
     compute_rho,
 )
-from .projgrad import Box, CappedSimplex, ConcaveProblem, maximize
+from .projgrad import Box, CappedSimplex, ConcaveProblem, maximize, project
 from .rates import (
     RateReport,
     _check_circuit_power,
@@ -249,7 +264,9 @@ class SolverTrace:
     sums their iterations, kernel_fallbacks counts the iterations whose
     projected Newton trial fell back to the gradient step, and stage_caps
     the DC stages that ran max_inner steps while still gaining at least
-    inner_tol per step.
+    inner_tol per step. boost_trials counts the points the boosted DC
+    steps of priced stages tried (see `_boost`), and boosts the steps
+    whose boost was accepted.
     """
 
     outer_values: list[float] = field(default_factory=list)
@@ -260,6 +277,8 @@ class SolverTrace:
     kernel_iterations: int = 0
     kernel_fallbacks: int = 0
     stage_caps: int = 0
+    boost_trials: int = 0
+    boosts: int = 0
     converged: bool = False
 
 
@@ -267,14 +286,17 @@ class _Stage(NamedTuple):
     """One side's DC subproblem at fixed powers of the other side, built
     once per stage: its forms (concave, subtracted), its objective of the
     side's flat powers (the smooth secrecy sum minus the power price lam
-    times the total power), and its DC surrogate, `_surrogate`'s problem
-    and the function that linearizes it at a point."""
+    times the total power), its DC surrogate, `_surrogate`'s problem and
+    the function that linearizes it at a point, and whether the power
+    price lam is nonzero, which decides whether `_dc_stage` boosts its
+    steps."""
 
     side: str
     forms: tuple[LogAffine, LogAffine]
     objective: Callable[[np.ndarray], float]
     problem: ConcaveProblem
     linearize: Callable
+    priced: bool
 
 
 def _uplink_stage(
@@ -295,7 +317,7 @@ def _uplink_stage(
 
     forms = _uplink_forms(cfg, _uplink_coeffs(cfg, q))
     box = Box(lower=np.zeros(cfg.total_users), upper=UplinkPower.full(cfg, p_max).flat())
-    return _Stage("uplink", forms, objective, *_surrogate(cfg, forms, box, lam))
+    return _Stage("uplink", forms, objective, *_surrogate(cfg, forms, box, lam), lam != 0.0)
 
 
 def _downlink_stage(
@@ -321,7 +343,8 @@ def _downlink_stage(
 
     forms = _downlink_forms(cfg, _downlink_coeffs(cfg, rho))
     return _Stage(
-        "downlink", forms, objective, *_surrogate(cfg, forms, CappedSimplex(cap=q_max), lam)
+        "downlink", forms, objective, *_surrogate(cfg, forms, CappedSimplex(cap=q_max), lam),
+        lam != 0.0,
     )
 
 
@@ -402,6 +425,39 @@ def _dc_step(stage: _Stage, x_prev, options, trace, start=None):
     return result.point, tuple(record) if x is result.point else None
 
 
+# The boost of a DC step: the first trial step along the step's direction,
+# how often it may halve, and the Armijo fraction of the acceptance test.
+_BOOST_STEP0 = 2.0
+_BOOST_HALVINGS = 6
+_BOOST_ARMIJO = 1e-4
+
+
+def _boost(stage: _Stage, x_prev, y, value: float, trace: SolverTrace):
+    """The boosted DC algorithm's line search (see the module docstring)
+    after the DC step x_prev -> y, whose stage objective is value. It tries
+    z = P(y + s (y - x_prev)) for s = 2, 1, 1/2, ... (at most six
+    halvings), P the projection onto the stage's feasible set, and
+    accepts the first z whose stage objective f(z) exceeds value and is at
+    least value + 1e-4 ||z - y||^2. Returns (z, f(z)), or (y, value) when
+    no trial passes or y = x_prev. Counts the trials and the accepted
+    boost in trace."""
+    d = y - x_prev
+    if not d.any():
+        return y, value
+    feasible_set = stage.problem.feasible_set
+    step = _BOOST_STEP0
+    for _ in range(_BOOST_HALVINGS + 1):
+        z = project(feasible_set, y + step * d)
+        z_value = stage.objective(z)
+        trace.boost_trials += 1
+        gap = z - y
+        if z_value > value and z_value >= value + _BOOST_ARMIJO * float(gap @ gap):
+            trace.boosts += 1
+            return z, z_value
+        step *= 0.5
+    return y, value
+
+
 def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> float:
     """Unclamped sum of per-user (legitimate - eavesdropping) rates; the
     quantity the DC solvers actually maximize."""
@@ -411,15 +467,16 @@ def smooth_secrecy_sum(cfg: SystemConfig, p: UplinkPower, q: DownlinkPower) -> f
 
 
 def _report_kernel(solver: str, trace: SolverTrace) -> None:
-    """One DEBUG line on the solve's kernel calls and iterations, and a
-    WARNING when any of the calls hit the iteration cap."""
+    """One DEBUG line on the solve's kernel calls and iterations and its
+    boosts, and a WARNING when any of the calls hit the iteration cap."""
     stops = trace.kernel_stops
     log.debug(
         "%s: %d kernel calls (%s), %d Newton fallbacks, %d capped DC stages, "
-        "%d kernel iterations",
+        "%d kernel iterations, %d boosts of %d trials",
         solver, stops.total(),
         ", ".join("%s %d" % (reason, stops[reason]) for reason in ("stationary", "floor", "cap")),
         trace.kernel_fallbacks, trace.stage_caps, trace.kernel_iterations,
+        trace.boosts, trace.boost_trials,
     )
     caps = stops["cap"]
     if caps:
@@ -430,12 +487,14 @@ def _report_kernel(solver: str, trace: SolverTrace) -> None:
 
 
 def _add_counts(trace: SolverTrace, other: SolverTrace) -> None:
-    """Add other's kernel stops, iterations, Newton fallbacks and capped
-    stages to trace's."""
+    """Add other's kernel stops, iterations, Newton fallbacks, capped
+    stages and boosts to trace's."""
     trace.kernel_stops.update(other.kernel_stops)
     trace.kernel_iterations += other.kernel_iterations
     trace.kernel_fallbacks += other.kernel_fallbacks
     trace.stage_caps += other.stage_caps
+    trace.boost_trials += other.boost_trials
+    trace.boosts += other.boosts
 
 
 def _dc_stage(
@@ -446,25 +505,43 @@ def _dc_stage(
     inner_tol (converged) or max_inner steps have run. The steps pass the
     flat powers on, and each step's point must be finite and nonnegative
     (ValueError otherwise); the last one is wrapped in x's type once.
-    Records the objective sequence in trace, counts a stage that stops at
-    max_inner in trace.stage_caps and logs one DEBUG line per stage;
-    returns the last iterate, its objective and whether the loop
-    converged."""
+
+    A priced stage (lam != 0, the Dinkelbach rounds) boosts every step
+    (`_boost`): a line search along the step's direction, accepted by an
+    Armijo test on the true stage objective, so the objective still never
+    falls; the next step starts at the boosted point and evaluates its
+    concave half there afresh. The stages without a price keep the plain
+    DC step. Their objective is flat along a ridge, so a change of path
+    changes where such a stage stops (the stop test is on the gain per
+    step): boosting them lowered the SE solver's sum secrecy rate by
+    1.0e-4 to 1.8e-4 at every point of the benchmark's sweep.
+
+    Records the objective sequence in trace (the objective where each
+    step ends, after its boost), counts a stage that stops at max_inner
+    in trace.stage_caps and logs one DEBUG line per stage; returns the
+    last iterate, its objective and whether the loop converged."""
     debug = log.isEnabledFor(logging.DEBUG)
     if debug:
         t0 = perf_counter()
         calls0, iterations0 = trace.kernel_stops.total(), trace.kernel_iterations
+        boosts0, trials0 = trace.boosts, trace.boost_trials
     values = [start]
     converged = False
     point = x.flat()
     concave = None  # the concave half's record at point, from the last DC step
     for _ in range(options.max_inner):
+        x_prev = point
         point, concave = _dc_step(stage, point, options, trace, concave)
         if not all(0.0 <= v < math.inf for v in point.tolist()):
             raise ValueError(
                 "%s DC step left the finite nonnegative powers: %r" % (stage.side, point)
             )
-        values.append(stage.objective(point))
+        value = stage.objective(point)
+        if stage.priced:
+            boosted, value = _boost(stage, x_prev, point, value, trace)
+            if boosted is not point:
+                point, concave = boosted, None
+        values.append(value)
         if values[-1] - values[-2] < options.inner_tol:
             converged = True
             break
@@ -474,9 +551,10 @@ def _dc_stage(
     if debug:
         log.debug(
             "%s DC stage: %d steps, %d kernel calls, %d kernel iterations, "
-            "objective %.10g -> %.10g, %s, %.3g s",
+            "%d boosts of %d trials, objective %.10g -> %.10g, %s, %.3g s",
             stage.side, len(values) - 1, trace.kernel_stops.total() - calls0,
             trace.kernel_iterations - iterations0,
+            trace.boosts - boosts0, trace.boost_trials - trials0,
             values[0], values[-1],
             "converged" if converged else "stopped at max_inner=%d" % options.max_inner,
             perf_counter() - t0,
@@ -642,6 +720,11 @@ def maximize_ee(
     optimum's ratio exceeds lambda by at most the value over the optimum's
     power, so the second test keeps that gap near ee_tol when little
     power is consumed.
+
+    A round's stages carry the power price lambda, so their DC steps are
+    boosted (`_boost`); a round at lambda = 0 takes plain steps. A boost
+    is accepted only where it raises the true stage objective, so the
+    alternation still never lowers the subtractive value.
     """
     _check_circuit_power(circuit_power)
     options = options or SolveOptions()

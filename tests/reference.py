@@ -1,11 +1,21 @@
 """Reference computations the tests compare the program with: central
-finite differences, and the Dinkelbach start and loop of the EE solver
-written out from their definitions."""
+finite differences, the Dinkelbach start and loop of the EE solver
+written out from their definitions, the DC stage loop without boosts,
+and the Monte Carlo check of the channel estimates' error split."""
+
+import math
 
 import numpy as np
 
-from noma_secrecy.model import DownlinkPower, UplinkPower
-from noma_secrecy.optimize import SolveOptions, _alternate, baseline_fixed, smooth_secrecy_sum
+from noma_secrecy.model import DownlinkPower, UplinkPower, compute_rho
+from noma_secrecy.montecarlo import MomentStat, _chunk_loop, _estimate, _mean_se
+from noma_secrecy.optimize import (
+    SolveOptions,
+    _alternate,
+    _dc_step,
+    baseline_fixed,
+    smooth_secrecy_sum,
+)
 from noma_secrecy.rates import energy_efficiency, secrecy_report
 
 
@@ -63,3 +73,63 @@ def ee_from_lambda_zero(cfg, p_max, q_max, circuit_power, options=SolveOptions()
         if f_hat <= options.ee_tol:
             break
     return energy_efficiency(secrecy_report(cfg, p, q), p, q, circuit_power)
+
+
+def plain_dc_stage(cfg, stage, x, start, options, trace):
+    """`optimize._dc_stage` with the plain DC step on every stage, priced
+    or not: the stage loop before the Dinkelbach rounds' steps were
+    boosted. Same arguments and results, without the DEBUG line."""
+    values = [start]
+    converged = False
+    point, concave = x.flat(), None
+    for _ in range(options.max_inner):
+        point, concave = _dc_step(stage, point, options, trace, concave)
+        values.append(stage.objective(point))
+        if values[-1] - values[-2] < options.inner_tol:
+            converged = True
+            break
+    trace.step_values.append(values)
+    trace.stage_caps += not converged
+    return type(x).from_flat(cfg, point), values[-1], converged
+
+
+def error_decomposition_check(cfg, p, n_trials, seed) -> list[MomentStat]:
+    """Consistency of the realized estimates with the error split
+    h = sqrt(rho) h_hat + sqrt(1 - rho) eps, on the Monte Carlo engine's
+    trials.
+
+    Checks, per user, the estimate/channel correlation against
+    sqrt(rho_{m,k} rho_m^tot) N_t (rho_m^tot is the per-entry variance of
+    the raw estimate) and the estimate/error correlation against zero.
+    """
+    rho = compute_rho(cfg, p)
+    cluster_of = cfg.cluster_of
+
+    def chunk(rngs, rows, y, _an):
+        h = rows[:, :-1]
+        h_hat = _estimate(cfg, p, h, y)
+        return np.vecdot(h_hat[:, cluster_of], h), np.vecdot(h_hat, h_hat).real
+
+    corr, norm_sq = _chunk_loop(cfg, n_trials, seed, chunk)
+
+    # With h_unit = h_hat / sqrt(rho_tot) and eps = (h - sqrt(r) h_unit) /
+    # sqrt(1 - r): <h_unit, eps> = (<h_hat, h> / sqrt(rho_tot) - sqrt(r)
+    # ||h_hat||^2 / rho_tot) / sqrt(1 - r); zero where eps is undefined.
+    r_u = rho.flat()
+    tot_u = np.array([r.sum() for r in rho.rho])[cluster_of]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = corr / np.sqrt(tot_u) - np.sqrt(r_u) * norm_sq[:, cluster_of] / tot_u
+        eps_corr = np.where((tot_u > 0.0) & (r_u < 1.0), along / np.sqrt(1.0 - r_u), 0.0)
+
+    stats = []
+    rank = np.arange(cfg.total_users) - cfg.user_offsets[cluster_of]
+    for u, (m, k) in enumerate(zip(cluster_of.tolist(), rank.tolist())):
+        pred = math.sqrt(r_u[u] * tot_u[u]) * cfg.n_antennas
+        for name, samples, predicted in (
+            ("estimate_correlation_re", corr[:, u].real, pred),
+            ("estimate_correlation_im", corr[:, u].imag, 0.0),
+            ("error_correlation_re", eps_corr[:, u].real, 0.0),
+        ):
+            mean, se = _mean_se(samples)
+            stats.append(MomentStat(name, m, k, mean, predicted, se))
+    return stats

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import noma_secrecy
-from noma_secrecy import experiments, montecarlo
+from noma_secrecy import cli, experiments, montecarlo
 from noma_secrecy.cli import main
 from noma_secrecy.experiments import (
     _fmt,
@@ -644,6 +644,18 @@ class TestCliSurface:
             " got %r\n" % value
         )
         assert not out.exists()
+
+    def test_parser_is_built_once_and_errs_alike_every_time(self, capsys):
+        # main may run many commands in one process; it reuses one parser.
+        assert cli._build_parser() is cli._build_parser()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["optimize", "--mode", "xx", "--spec", "spec.json"])
+            assert exit_info.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "argument --mode: invalid choice: 'xx'" in errors[0]
 
     def test_console_entry_point(self, tmp_path):
         spec_path = write_spec(tmp_path / "spec.json")

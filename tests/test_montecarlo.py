@@ -20,12 +20,13 @@ from noma_secrecy.montecarlo import (
     _chunk_loop,
     _estimate,
     _unit_beams,
-    error_decomposition_check,
     reduce_moments,
     reduce_rates,
     simulate_trials,
 )
 from noma_secrecy.rates import chi_mean, secrecy_report
+
+from reference import error_decomposition_check
 
 
 def make_cfg(betas, n_antennas=16, pilot_len=None, coherence_len=300, eav_gain=10.0):
@@ -47,17 +48,17 @@ Q22 = DownlinkPower(([1.0, 4.0, 2.0], [0.5, 3.0, 1.5]))
 def realizations(cfg, n_trials, seed):
     """The engine's channel draw of each trial, (T, U + 1, N): the users in
     the flat layout, then the eavesdropper."""
-    (rows,) = _chunk_loop(cfg, n_trials, seed, 1, lambda rngs, rows: (rows,))
+    (rows,) = _chunk_loop(cfg, n_trials, seed, lambda rngs, rows, *_: (rows,))
     return rows
 
 
 def estimates(cfg, p, n_trials, seed):
     """The engine's channel draw and MMSE estimates (T, M, N) of each trial."""
 
-    def run(rngs, rows, y):
+    def run(rngs, rows, y, _an):
         return rows, _estimate(cfg, p, rows[:, :-1], y)
 
-    return _chunk_loop(cfg, n_trials, seed, 2, run)
+    return _chunk_loop(cfg, n_trials, seed, run)
 
 
 class TestDrawRealization:
@@ -129,7 +130,7 @@ class TestPrecoderAndAn:
             h_hat = _estimate(CFG22, P22, rows[:, :-1], y)
             return h_hat, _an_directions(h_hat, v, rngs)
 
-        h_hat, z = _chunk_loop(CFG22, 20, 8, 3, run)
+        h_hat, z = _chunk_loop(CFG22, 20, 8, run)
         for t in range(20):
             for m in range(2):
                 assert np.linalg.norm(z[t, m]) == pytest.approx(1.0, rel=1e-12)
@@ -303,7 +304,7 @@ def test_an_redraws_only_the_direction_in_the_estimate_span(monkeypatch):
     def run(rngs, rows, y, v):
         return (_an_directions(h_hat[None], v, rngs),)
 
-    z = _chunk_loop(cfg, 1, 1, 3, run)[0][0]
+    z = _chunk_loop(cfg, 1, 1, run)[0][0]
     assert rng.shapes == [(6, 4), (4, 4), (4, 4), (2, 4)] and not rng.draws
 
     def expected(re, im, axis):

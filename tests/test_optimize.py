@@ -508,15 +508,19 @@ class TestMaximizeEe:
     def test_bench_layout_work_counts(self):
         # The seed-1 benchmark EE instance: from the full-budget split at
         # lambda = 0 the solve took 710 kernel calls and capped 7 DC
-        # stages; the scaled start takes 155 and caps none. The counts do
-        # not depend on the machine.
+        # stages; the scaled start took 155 calls and 430 iterations and
+        # capped none, and boosting the DC steps of its rounds takes 66
+        # calls and 201 iterations. The counts do not depend on the
+        # machine.
         cfg = make_cfg(
             [[79.41282782187035, 20.090630467173817], [58.89294046503912, 9.876066929078913]]
         )
         _, _, _, trace = maximize_ee(cfg, 1.0, 100.0, circuit_power=db_to_linear(-5.0))
         assert trace.converged
         assert trace.stage_caps == 0
-        assert trace.kernel_stops.total() <= 160
+        assert trace.kernel_stops.total() <= 70
+        assert trace.kernel_iterations <= 210
+        assert 0 < trace.boosts <= trace.boost_trials
 
     def test_requires_positive_circuit_power(self):
         cfg = scenario(37, m=2, k=2)
@@ -607,7 +611,7 @@ class TestKernelIterations:
         """The iterations of the solve's summary line and of its stage lines."""
         messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         [total] = [
-            int(re.search(r"(\d+) kernel iterations$", m).group(1))
+            int(re.search(r"(\d+) kernel iterations, \d+ boosts of \d+ trials$", m).group(1))
             for m in messages if m.startswith(solver + ": ")
         ]
         stages = [TestStageLog.PATTERN.fullmatch(m) for m in messages if " DC stage: " in m]
@@ -670,9 +674,11 @@ class TestKernelFallbacks:
         stops = trace.kernel_stops
         return (
             "%s: %d kernel calls (stationary %d, floor %d, cap %d), "
-            "%d Newton fallbacks, %d capped DC stages, %d kernel iterations" % (
+            "%d Newton fallbacks, %d capped DC stages, %d kernel iterations, "
+            "%d boosts of %d trials" % (
                 solver, stops.total(), stops["stationary"], stops["floor"], stops["cap"],
                 trace.kernel_fallbacks, trace.stage_caps, trace.kernel_iterations,
+                trace.boosts, trace.boost_trials,
             )
         )
 
@@ -739,11 +745,12 @@ class TestStageCaps:
 
 class TestStageLog:
     """One DEBUG line per DC stage: side, DC steps, kernel calls, kernel
-    iterations, the objective from start to end, how the stage stopped,
-    wall time."""
+    iterations, accepted boosts and boost trials, the objective from start
+    to end, how the stage stopped, wall time."""
 
     PATTERN = re.compile(
         r"(uplink|downlink) DC stage: (\d+) steps, (\d+) kernel calls, (\d+) kernel iterations, "
+        r"(\d+) boosts of (\d+) trials, "
         r"objective (\S+) -> (\S+), (converged|stopped at max_inner=\d+), \S+ s"
     )
 
@@ -762,13 +769,29 @@ class TestStageLog:
         lines = self.stage_lines(caplog)
         assert len(lines) == len(trace.step_values) and all(lines)
         for i, (line, values) in enumerate(zip(lines, trace.step_values)):
-            side, steps, calls, _, start, end, stop = line.groups()
+            side, steps, calls, _, boosts, trials, start, end, stop = line.groups()
             assert side == ("uplink", "downlink")[i % 2]
             assert int(steps) == int(calls) == len(values) - 1
+            assert boosts == trials == "0"  # the SE stages carry no power price
             assert (float(start), float(end)) == pytest.approx((values[0], values[-1]), rel=1e-9)
-        capped = [m for m in lines if m.group(7) != "converged"]
+        capped = [m for m in lines if m.group(9) != "converged"]
         assert len(capped) == trace.stage_caps
-        assert all(m.group(7) == "stopped at max_inner=%d" % max_inner for m in capped)
+        assert all(m.group(9) == "stopped at max_inner=%d" % max_inner for m in capped)
+
+    def test_ee_logs_each_stages_boosts(self, caplog):
+        cfg = scenario(41, m=2, k=2, nt=32)
+        with caplog.at_level(logging.DEBUG, logger="noma_secrecy"):
+            _, _, _, trace = maximize_ee(cfg, 1.0, 10.0, circuit_power=0.5)
+        lines = self.stage_lines(caplog)
+        assert all(lines)
+        boosts = [int(m.group(5)) for m in lines]
+        trials = [int(m.group(6)) for m in lines]
+        assert sum(boosts) == trace.boosts > 0
+        assert sum(trials) == trace.boost_trials >= trace.boosts
+        assert all(b <= int(m.group(2)) for b, m in zip(boosts, lines))
+        assert TestKernelFallbacks.summary("maximize_ee", trace) in [
+            r.getMessage() for r in caplog.records
+        ]
 
     def test_baselines_log_their_stage(self, caplog):
         cfg = scenario(42, m=2, k=2, nt=32)

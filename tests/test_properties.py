@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from noma_secrecy import _workers, montecarlo
+from noma_secrecy import _workers, montecarlo, optimize
 from noma_secrecy.experiments import ExperimentSpec, _fmt, build_config, run_sweep, run_validate
 from noma_secrecy.model import (
     ClusterConfig,
@@ -30,7 +30,6 @@ from noma_secrecy.montecarlo import (
     _chunk_loop,
     _estimate,
     _rate_samples,
-    error_decomposition_check,
     reduce_moments,
     reduce_rates,
     simulate_trials,
@@ -39,6 +38,7 @@ from noma_secrecy.optimize import (
     LogAffine,
     SolveOptions,
     SolverTrace,
+    _boost,
     _dc_stage,
     _dc_step,
     _downlink_coeffs,
@@ -73,7 +73,12 @@ from noma_secrecy.rates import (
     secrecy_report,
 )
 
-from reference import ee_from_lambda_zero, finite_difference_gradient
+from reference import (
+    ee_from_lambda_zero,
+    error_decomposition_check,
+    finite_difference_gradient,
+    plain_dc_stage,
+)
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 MONTE_CARLO = settings(max_examples=15, deadline=None, derandomize=True)
@@ -312,8 +317,12 @@ def test_dc_step_start_equals_a_fresh_evaluation(instance, lam, downlink):
 def container_stage_loop(cfg, build, x, other, lam, circuit, options):
     """The stage loop on power containers: a fresh stage, and so a fresh
     surrogate, for every DC step, each maximizer wrapped in x's type and
-    the objective taken by `stage_objective`. The reference of
-    `_dc_stage`, which passes flat points and builds its stage once."""
+    the objective taken by `stage_objective`. With a power price, each DC
+    step from x to y is boosted: the first z = P(y + s (y - x)), s = 2, 1,
+    ..., 2**-5, whose objective exceeds y's by more than 0 and by at least
+    1e-4 ||z - y||^2 replaces y, and the next step evaluates z afresh. The
+    reference of `_dc_stage`, which passes flat points and builds its
+    stage once."""
     uplink = isinstance(x, UplinkPower)
 
     def objective(x):
@@ -324,9 +333,25 @@ def container_stage_loop(cfg, build, x, other, lam, circuit, options):
     converged = False
     concave = None
     for _ in range(options.max_inner):
-        point, concave = _dc_step(build(), x.flat(), options, trace, concave)
-        x = type(x).from_flat(cfg, point)
-        values.append(objective(x))
+        stage = build()
+        point, concave = _dc_step(stage, x.flat(), options, trace, concave)
+        y = type(x).from_flat(cfg, point)
+        value = objective(y)
+        direction = y.flat() - x.flat()
+        x = y
+        if lam != 0.0 and direction.any():
+            for step in (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+                z = type(x).from_flat(
+                    cfg, project(stage.problem.feasible_set, y.flat() + step * direction)
+                )
+                z_value = objective(z)
+                trace.boost_trials += 1
+                gap = z.flat() - y.flat()
+                if z_value > value and z_value >= value + 1e-4 * float(np.dot(gap, gap)):
+                    x, value, concave = z, z_value, None
+                    trace.boosts += 1
+                    break
+        values.append(value)
         if values[-1] - values[-2] < options.inner_tol:
             converged = True
             break
@@ -367,6 +392,8 @@ def test_flat_stage_loop_equals_the_container_loop_bit_for_bit(instance, lam, do
     assert trace.kernel_iterations == reference.kernel_iterations
     assert trace.kernel_fallbacks == reference.kernel_fallbacks
     assert trace.stage_caps == reference.stage_caps
+    assert trace.boost_trials == reference.boost_trials
+    assert trace.boosts == reference.boosts
 
 
 @PROPERTY
@@ -378,16 +405,26 @@ def test_dc_steps_never_lower_the_stage_objective(instance, penalty):
         return smooth_secrecy_sum(cfg, p, q) - penalty * (p.total() + q.total())
 
     options, trace = SolveOptions(), SolverTrace()
+
+    def step(dc_stage, x):
+        """One DC step, boosted as `_dc_stage` boosts it on a priced stage."""
+        y = _dc_step(dc_stage, x, options, trace)[0]
+        if dc_stage.priced:
+            y = _boost(dc_stage, x, y, dc_stage.objective(y), trace)[0]
+        return y
+
     before = stage(p, q)
     up = _uplink_stage(cfg, q, 1.0, penalty)
-    p_next = UplinkPower.from_flat(cfg, _dc_step(up, p.flat(), options, trace)[0])
+    p_next = UplinkPower.from_flat(cfg, step(up, p.flat()))
     after_up = stage(p_next, q)
     assert after_up >= before - 1e-9
+    assert np.all(p_next.flat() >= 0.0) and np.all(p_next.flat() <= 1.0)
 
     down = _downlink_stage(cfg, compute_rho(cfg, p_next), 100.0, penalty)
-    q_next = DownlinkPower.from_flat(cfg, _dc_step(down, q.flat(), options, trace)[0])
+    q_next = DownlinkPower.from_flat(cfg, step(down, q.flat()))
     assert stage(p_next, q_next) >= after_up - 1e-9
-    assert q_next.total() <= 100.0 + 1e-9
+    assert np.all(q_next.flat() >= 0.0) and q_next.total() <= 100.0 + 1e-9
+    assert up.priced == down.priced == (penalty != 0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -439,6 +476,29 @@ def test_scaled_start_keeps_lambda_monotone_and_the_lambda_zero_answer(
     assert all(b >= a for a, b in zip(lams, lams[1:])), lams
     assert ee >= lams[0]
     assert ee >= ee_from_lambda_zero(cfg, 1.0, q_max, circuit) - SolveOptions().inner_tol
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    instances(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+    st.sampled_from([1.0, 10.0, 100.0]),
+    st.floats(-20.0, 10.0),
+)
+def test_boosted_dinkelbach_never_ends_below_the_plain_dc_steps(instance, q_max, circuit_db):
+    """The boost only adds ascent to each DC step of a Dinkelbach round,
+    so the EE it reaches is at least the EE of the same loop with plain
+    DC steps (`reference.plain_dc_stage`), less inner_tol. As with the
+    scaled start, this is not a theorem: the two paths could end in
+    different local optima."""
+    cfg, _, _, _ = instance
+    circuit = db_to_linear(circuit_db)
+    _, _, ee, trace = maximize_ee(cfg, 1.0, q_max, circuit_power=circuit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_dc_stage", plain_dc_stage)
+        _, _, plain_ee, plain = maximize_ee(cfg, 1.0, q_max, circuit_power=circuit)
+    assert plain.boost_trials == 0
+    assert trace.boosts <= trace.boost_trials
+    assert ee >= plain_ee - SolveOptions().inner_tol
 
 
 @PROPERTY
@@ -660,10 +720,10 @@ def test_an_redraw_comes_from_its_own_trial_after_its_three_draws():
     stream = NormalStream(values[target])
     with mock.patch.object(montecarlo, "_trial_streams", lambda seed, count: iter([stream])):
         (h_hat,) = _chunk_loop(
-            cfg, 1, seed, 2, lambda rngs, rows, y: (_estimate(cfg, p, rows[:, :-1], y),)
+            cfg, 1, seed, lambda rngs, rows, y, _an: (_estimate(cfg, p, rows[:, :-1], y),)
         )
     h_hat = h_hat[0, -1]
-    start = stream.used + 2 * (cfg.n_clusters - 1) * n
+    start = stream.used - 2 * n  # the last cluster's row of the AN draw
     values[target][start : start + 2 * n] = np.concatenate((h_hat.real, h_hat.imag))
 
     expected = transcribed_trial_tables(
